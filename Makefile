@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check doccheck flexvet lint test fuzz race bench bench-record benchdiff ci
+.PHONY: all build vet fmt-check doccheck flexvet lint test fuzz race bench perfbench-test bench-record benchdiff ci
 
 # The canonical perf-trajectory recording command (docs/BENCHMARKING.md).
 # -workers 1 keeps reconfiguration counts deterministic so the file is
@@ -54,6 +54,10 @@ race:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# perfbench is a nested module the root ./... never reaches.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Record a fresh trajectory point (stdout tables discarded; stderr kept).
 bench-record:
 	$(GO) run ./cmd/flexbench $(BENCH_RECORD_FLAGS) -bench-out BENCH_new.json > /dev/null
@@ -63,4 +67,4 @@ benchdiff: bench-record
 	$(GO) run ./cmd/benchdiff -op-tol 0 \
 		$$(ls BENCH_[0-9]*.json | sort -t_ -k2 -n | tail -1) BENCH_new.json
 
-ci: build lint race fuzz bench benchdiff
+ci: build lint race fuzz bench perfbench-test benchdiff

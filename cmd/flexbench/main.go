@@ -12,9 +12,10 @@
 //	          [-bench-out BENCH_n.json]
 //
 // -exp sharded runs the row-band sharding extension: each selected design
-// is split into -shards horizontal bands (with a -shard-halo seam window),
-// every band legalized by the FLEX engine as an independent pool job, and
-// the bands stitched back into one whole-die result. Designs run one after
+// is submitted as one FLEX job to a flex.Service, which splits it into
+// -shards horizontal bands (with a -shard-halo seam window), legalizes
+// every band as an independent pool job, and stitches the bands back into
+// one whole-die result. Designs run one after
 // another so only one design's bands are ever resident — the path that
 // fits paper-scale superblue runs (reach them with
 // -designs superblue19 -scale 0.5 or larger). Per-band wall and device
@@ -27,23 +28,26 @@
 // Engines are deterministic, so every workers × fpgas combination prints
 // byte-identical tables; -workers 1 forces the old serial behaviour.
 //
-// One invocation runs every selected driver on one shared service: a
-// long-lived worker pool plus — with -cache-mb — a byte-bounded layout
-// cache memoizing generated benchmarks by (design, scale, seed), so
-// drivers that share designs skip regeneration. -repeat N re-runs the
+// One invocation shares one long-lived worker pool across the table1 and
+// figure drivers, and — with -cache-mb — one byte-bounded layout cache
+// across every driver, memoizing generated benchmarks by (design, scale,
+// seed) so drivers that share designs skip regeneration. The sharded,
+// sched and eco drivers submit to a flex.Service they build per run with
+// the same -workers, -fpgas, -sched and -reconfig-ms. -repeat N re-runs the
 // selected experiments N times on the same warm service, the measurement
 // mode for cache effectiveness (stdout repeats the identical tables; wall
 // time and cache hit/miss deltas land on stderr). Caching never changes a
 // table — only where the layouts come from.
 //
 // -exp eco measures the incremental (ECO) legalization path: each design is
-// legalized once across -eco-bands row bands, then -eco-edits single-cell
-// in-halo moves are served both incrementally (only the dirty bands
-// re-solve; the clean bands splice from the base run) and as full re-runs.
-// The driver fails hard unless every incremental result is byte-identical
-// to its full re-run; the table reports the modeled edit-stream speedup the
-// dirty-band path buys (T_full / T_inc — the flex.Service outcome cache
-// realizes the same reuse for served traffic).
+// legalized once across -eco-bands row bands on a flex.Service with an
+// outcome cache, then -eco-edits single-cell in-halo moves are served both
+// incrementally (the service re-solves only the dirty bands and splices the
+// clean ones from the cached base outcome) and as full re-runs on a service
+// without one. The driver fails hard unless every edit took the
+// incremental path and its result is byte-identical to the full re-run;
+// the table reports the modeled edit-stream speedup the dirty-band path
+// buys (T_full / T_inc).
 //
 // -sched selects the pool's queue policy (priority, the default:
 // effective priority with aging, EDF within a level, weighted fair share;
@@ -68,11 +72,11 @@
 // -bench-out path writes the run's perf-trajectory record: one
 // internal/benchjson document with the deterministic facts — op counts,
 // modeled seconds, quality, cache and device counters — of every
-// (design, engine, config) the table1, sharded and sched drivers measured.
-// Wall clock never enters the file, so two runs of the same binary are
-// byte-identical and cmd/benchdiff can gate regressions in CI. -exp bench
-// is the canonical recording selection (exactly those three drivers); with
-// -repeat N only the first repetition records. Record with -workers 1:
+// (design, engine, config) the table1, sharded, sched and eco drivers
+// measured. Wall clock never enters the file, so two runs of the same
+// binary are byte-identical and cmd/benchdiff can gate regressions in CI.
+// -exp bench is the canonical recording selection (exactly those four
+// drivers); with -repeat N only the first repetition records. Record with -workers 1:
 // board-reconfiguration counts are order-dependent under concurrency, and
 // flexbench warns when -bench-out runs with any other worker count. See
 // docs/BENCHMARKING.md for the methodology.
@@ -90,6 +94,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/cache"
@@ -130,7 +135,7 @@ func main() {
 	scale := flag.Float64("scale", 0.02, "benchmark scale factor (1.0 = paper-size designs)")
 	designs := flag.String("designs", "", "comma-separated design filter (default: all 16)")
 	threads := flag.Int("threads", 8, "CPU baseline thread count")
-	measure := flag.Bool("measure-original", false, "instrument the original multi-pass shifting (slower, more faithful)")
+	measure := flag.Bool("measure-original", false, "instrument the original multi-pass shifting in the table1 and fig8 drivers (slower, more faithful)")
 	workers := flag.Int("workers", 0, "concurrent (design × engine) jobs per driver (0 = GOMAXPROCS, 1 = serial)")
 	fpgas := flag.Int("fpgas", 1, "modeled FPGA boards shared by concurrent FLEX jobs (negative = unlimited)")
 	cacheMB := flag.Int("cache-mb", 0, "layout cache budget in MiB, shared by every driver and repetition (0 = off)")
@@ -153,15 +158,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	scheduler, err := flex.ParseScheduler(*schedName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	reconfigCost := time.Duration(*reconfigMS) * time.Millisecond
 
-	// One shared service per invocation: every driver batch runs on this
-	// pool, and (with -cache-mb) resolves generated layouts through this
-	// cache — so repeated designs, within a repetition and across -repeat
-	// runs, are built once.
+	// One shared pool per invocation for the table1 and figure drivers, and
+	// (with -cache-mb) one layout cache every driver resolves generated
+	// layouts through — so repeated designs, within a repetition and across
+	// -repeat runs, are built once.
 	pool := batch.NewPool(batch.PoolConfig{
 		Workers: *workers, FPGAs: *fpgas,
 		Policy:       policy,
-		ReconfigCost: time.Duration(*reconfigMS) * time.Millisecond,
+		ReconfigCost: reconfigCost,
 	})
 	defer pool.Close()
 	var layouts *cache.LRU
@@ -195,8 +206,11 @@ func main() {
 		Workers:         *workers,
 		FPGAs:           *fpgas,
 		Pool:            pool,
-		Layouts:         layouts,
-		Priority:        *priority,
+		ServiceOptions: []flex.ServiceOption{
+			flex.WithScheduler(scheduler), flex.WithReconfigCost(reconfigCost),
+		},
+		Layouts:  layouts,
+		Priority: *priority,
 	}
 	if *designs != "" {
 		opt.Designs = strings.Split(*designs, ",")
@@ -468,7 +482,7 @@ func main() {
 			recorded += len(e.Records)
 		}
 		if recorded == 0 {
-			fmt.Fprintf(os.Stderr, "bench-out: the selected experiments recorded nothing (only table1, sharded and sched record; use -exp bench)\n")
+			fmt.Fprintf(os.Stderr, "bench-out: the selected experiments recorded nothing (only table1, sharded, sched and eco record; use -exp bench)\n")
 			os.Exit(2)
 		}
 		if err := bench.WriteFile(*benchOut); err != nil {

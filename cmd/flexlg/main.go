@@ -206,6 +206,19 @@ func parseEdits(s string) ([]flex.Edit, error) {
 	return edits, nil
 }
 
+// readLayoutFile decodes the flexpl file at path (the -in flag). A layout
+// that breaks a structural rule fails here, naming the cell and the rule,
+// before any engine sees it.
+func readLayoutFile(path string) (*flex.Layout, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	l, err := flex.ReadLayout(f)
+	f.Close() //flexvet:close read-side close; decode failures already surface through ReadLayout's error
+	return l, err
+}
+
 func main() {
 	engineList := flag.String("engine", "flex", "engine: flex, mgl, mgl-mt, gpu, analytical; comma-separated list or \"all\" compares engines")
 	threads := flag.Int("threads", 8, "threads for mgl-mt")
@@ -281,13 +294,7 @@ func main() {
 	designRef := *design
 	switch {
 	case *in != "":
-		f, err2 := os.Open(*in)
-		if err2 != nil {
-			fmt.Fprintln(os.Stderr, err2)
-			os.Exit(1)
-		}
-		layout, err = flex.ReadLayout(f)
-		f.Close() //flexvet:close read-side close; decode failures already surface through ReadLayout's error
+		layout, err = readLayoutFile(*in)
 	case *design != "" && *cacheMB <= 0:
 		layout, err = flex.Generate(*design, *scale)
 		designRef = ""

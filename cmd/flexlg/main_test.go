@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -70,5 +72,24 @@ func TestParseEnginesAllLeadsWithFLEX(t *testing.T) {
 	}
 	if names[0] != "flex" {
 		t.Fatalf("all leads with %q, want flex", names[0])
+	}
+}
+
+// TestReadLayoutFileRejectsTallCell pins the -in edge check: a movable
+// cell taller than the die used to reach the analytical engine and crash
+// flexlg. Decoding must fail first, naming the cell and the rule (main
+// prints the error and exits 1).
+func TestReadLayoutFileRejectsTallCell(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.flexpl")
+	bad := "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 1 5 any 0\n"
+	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := readLayoutFile(path)
+	if err == nil {
+		t.Fatal("readLayoutFile accepted a cell taller than the die")
+	}
+	if !strings.Contains(err.Error(), "c0") || !strings.Contains(err.Error(), "height must be <=") {
+		t.Fatalf("error %q does not name the cell and the rule", err)
 	}
 }

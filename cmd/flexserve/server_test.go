@@ -170,6 +170,36 @@ func TestLegalizeRawFlexplPayload(t *testing.T) {
 	}
 }
 
+// TestLegalizeRejectsStructurallyBadLayout pins the edge check for a
+// 53-byte raw layout whose only cell is taller than the die: it used to
+// reach the analytical engine and crash the process. It must get a 400
+// naming the cell, and the server must answer the next request.
+func TestLegalizeRejectsStructurallyBadLayout(t *testing.T) {
+	ts := newTestServer(t)
+	const bad = "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 1 5 any 0\n"
+	resp, err := http.Post(ts.URL+"/v1/legalize?engine=analytical", "text/plain", strings.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%v), want a 400 error body", resp.StatusCode, err)
+	}
+	if !strings.Contains(eb.Error, "c0") || !strings.Contains(eb.Error, "height must be <=") {
+		t.Fatalf("400 error %q does not name the cell and the rule", eb.Error)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("server stopped answering after the bad layout: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d after the bad layout", resp.StatusCode)
+	}
+}
+
 func TestLegalizeIncludeLayoutRoundTrips(t *testing.T) {
 	ts := newTestServer(t)
 	req := `{"jobs":[{"design":"fft_a_md2","scale":0.008}],"includeLayout":true}`

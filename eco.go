@@ -371,12 +371,14 @@ func (s *Service) plainPoolJob(job BatchJob, class sched.Class) batch.Job[*Outco
 			return nil, err
 		}
 		ran := false
+		var ops map[string]int64
 		v, err := s.outcomes.Do(key, func() (any, int64, error) {
 			ran = true
 			out, err := legalize()
 			if err != nil {
 				return nil, 0, err
 			}
+			ops = out.Ops
 			ent := &eco.Entry{
 				Engine:         "", // echoed by the key; set below for integrity
 				Options:        optionsKey(job.Options),
@@ -397,6 +399,7 @@ func (s *Service) plainPoolJob(job BatchJob, class sched.Class) batch.Job[*Outco
 		ent := v.(*eco.Entry)
 		out := cachedOutcome(ent.Result, ent.Legal, ent.ModeledSeconds, job.Engine)
 		out.InputHash = hash
+		out.Ops = ops // nil when the outcome came from the cache
 		return out, nil
 	}
 }

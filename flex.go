@@ -28,6 +28,7 @@ import (
 
 	"github.com/flex-eda/flex/internal/analytical"
 	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/fpga"
 	"github.com/flex-eda/flex/internal/gen"
@@ -154,6 +155,13 @@ type Outcome struct {
 	// request an incremental re-legalization. Set only by services with an
 	// outcome cache (WithOutcomeCacheBytes / WithCacheDir); empty otherwise.
 	InputHash string
+	// Ops holds the engine's deterministic operation counts, keyed like the
+	// ops of a BENCH_*.json record (docs/BENCHMARKING.md). Only an engine
+	// run fills it: it is nil on outcomes served from the outcome cache, on
+	// a sharded job's stitched outcome (each band's counts are on its
+	// BatchResult.Shards entry) and on outcomes a fleet worker computed.
+	// Ops never enters NDJSON, flexpl or the outcome cache's files.
+	Ops map[string]int64
 }
 
 // Legalize runs the selected engine with default options on a clone of l.
@@ -180,11 +188,13 @@ func LegalizeWith(l *Layout, engine Engine, opt Options) (*Outcome, error) {
 		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
 		out.Violations = r.Violations
 		out.ModeledSeconds = r.TotalSeconds
+		out.Ops = benchjson.FlexOps(r)
 	case EngineMGL:
 		r := mgl.Legalize(l, mgl.Config{})
 		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
 		out.Violations = r.Violations
 		out.ModeledSeconds = perf.DefaultCPU.Seconds(r.Stats.WorkSerial)
+		out.Ops = benchjson.MGLOps(r.Stats)
 	case EngineMGLMT:
 		threads := opt.Threads
 		if threads == 0 {
@@ -195,16 +205,19 @@ func LegalizeWith(l *Layout, engine Engine, opt Options) (*Outcome, error) {
 		out.Violations = r.Violations
 		out.ModeledSeconds = perf.DefaultCPU.ParallelSeconds(
 			r.Stats.WorkSerial, r.Stats.WorkCritical, int(r.Stats.Batches), threads)
+		out.Ops = benchjson.MGLOps(r.Stats)
 	case EngineGPU:
 		r := gpu.Legalize(l, gpu.Config{})
 		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
 		out.Violations = r.Violations
 		out.ModeledSeconds = r.TotalSeconds
+		out.Ops = benchjson.GPUOps(r)
 	case EngineAnalytical:
 		r := analytical.Legalize(l, analytical.Config{})
 		out.Layout, out.Metrics, out.Legal = r.Layout, r.Metrics, r.Legal
 		out.Violations = r.Violations
 		out.ModeledSeconds = r.TotalSeconds
+		out.Ops = benchjson.AnalyticalOps(r)
 	default:
 		return nil, fmt.Errorf("flex: unknown engine %d", int(engine))
 	}

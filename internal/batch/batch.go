@@ -17,10 +17,7 @@ package batch
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
-
-	"github.com/flex-eda/flex/internal/sched"
 )
 
 // ErrSkipped marks a job that never started because the batch was canceled
@@ -44,9 +41,9 @@ type Result[T any] struct {
 	// entering the pool's scheduling queue and a worker picking it up. The
 	// per-class wait distributions of the sched experiment come from it.
 	SchedWait time.Duration
-	// DeviceWait is the time the job queued for the shared accelerator
-	// (Options.Device); DeviceHold is the time it occupied a board. Both
-	// are zero for CPU-only jobs and for batches without a device.
+	// DeviceWait is the time the job queued for the pool's shared
+	// accelerator boards; DeviceHold is the time it occupied a board. Both
+	// are zero for CPU-only jobs and for pools without a device.
 	DeviceWait time.Duration
 	DeviceHold time.Duration
 	// DeviceReconfigs counts the job's board acquisitions that had to
@@ -66,38 +63,6 @@ type Result[T any] struct {
 	aborted bool
 }
 
-// Options tunes a batch run.
-type Options struct {
-	// Workers bounds the number of concurrently running jobs.
-	// <= 0 means GOMAXPROCS.
-	Workers int
-	// FailFast cancels the rest of the batch after the first job error.
-	// Jobs already in flight finish; jobs not yet started are reported
-	// with ErrSkipped. The default runs every job and captures each
-	// error in its own Result.
-	FailFast bool
-	// Device is the shared accelerator pool jobs contend on: the pool
-	// attaches it to every job context, and jobs with an
-	// accelerator-resident phase claim a board via AcquireDevice while
-	// CPU-only jobs (and CPU phases) keep overlapping. nil models
-	// unlimited boards (every job CPU-only, the pre-device behaviour).
-	Device *Device
-}
-
-func (o Options) workers(jobs int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Stats aggregates a finished run.
 type Stats struct {
 	Jobs    int
@@ -112,7 +77,7 @@ type Stats struct {
 	// SchedWait sums per-job queue time for a worker — how long the
 	// batch's jobs sat in the scheduling queue in total.
 	SchedWait time.Duration
-	// Device aggregates across jobs when Options.Device was set: FPGAs is
+	// Device aggregates across jobs when the pool models boards: FPGAs is
 	// the modeled board count, DeviceWait/DeviceHold sum per-job queueing
 	// and occupancy, and DeviceAcquires/DeviceContended count token
 	// acquisitions (total, and those that had to wait). DeviceWait > 0
@@ -151,48 +116,6 @@ func (s *Stats) Add(o Stats) {
 	s.DeviceContended += o.DeviceContended
 	s.DeviceReconfigs += o.DeviceReconfigs
 	s.DeviceReconfigTime += o.DeviceReconfigTime
-}
-
-// Stream executes jobs across a bounded worker pool and sends every job's
-// Result on the returned channel in completion order (use Result.Index to
-// reorder). Exactly len(jobs) results are sent — skipped jobs carry
-// ErrSkipped — and the channel is closed afterwards. Callers must drain the
-// channel (cancel the context to stop early); abandoning it leaks workers.
-//
-// Stream is the per-call form of the long-lived Pool: it builds a throwaway
-// pool sized by Options, runs the one batch on it via StreamOn, and tears
-// the pool down once the batch drains — so one-shot and service-style
-// batches share a single execution path and contract.
-func Stream[T any](ctx context.Context, jobs []Job[T], opt Options) <-chan Result[T] {
-	p := newPool(PoolConfig{Workers: opt.workers(len(jobs))}, sched.Config{}, opt.Device)
-	ch, err := streamOn(ctx, p, jobs, nil, opt.FailFast, p.Close)
-	if err != nil {
-		// Unreachable: a fresh unbounded pool admits any batch. Fail loudly
-		// rather than silently dropping jobs.
-		panic("batch: throwaway pool rejected batch: " + err.Error())
-	}
-	return ch
-}
-
-// Run executes jobs across a bounded worker pool and returns one Result per
-// job in submission order, plus aggregate stats. Per-job errors are captured
-// in the results, not returned: the error is non-nil only when the batch as
-// a whole stopped early — the parent context was canceled while jobs were
-// still unscheduled or in flight, or FailFast tripped (then it is the first
-// job error, and later jobs carry ErrSkipped).
-func Run[T any](ctx context.Context, jobs []Job[T], opt Options) ([]Result[T], Stats, error) {
-	return RunWith(ctx, jobs, opt, nil)
-}
-
-// RunWith is Run with a completion-order observer: onResult (when non-nil)
-// is invoked synchronously from the collecting goroutine for every job as
-// it finishes, before the full result set is assembled — the hook CLIs and
-// servers use to stream progress while the batch is still running. Keep it
-// fast; it is on the result path.
-func RunWith[T any](ctx context.Context, jobs []Job[T], opt Options, onResult func(Result[T])) ([]Result[T], Stats, error) {
-	p := newPool(PoolConfig{Workers: opt.workers(len(jobs))}, sched.Config{}, opt.Device)
-	defer p.Close()
-	return RunOn(ctx, p, jobs, opt.FailFast, onResult)
 }
 
 // Values unwraps a fully successful result set into plain values, in

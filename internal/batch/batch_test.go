@@ -10,6 +10,14 @@ import (
 	"time"
 )
 
+// runPool runs one batch on a throwaway pool built from cfg and closes the
+// pool afterwards.
+func runPool[T any](ctx context.Context, cfg PoolConfig, jobs []Job[T], failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
+	p := NewPool(cfg)
+	defer p.Close()
+	return Run(ctx, p, jobs, nil, failFast, onResult)
+}
+
 // squares builds n jobs whose values depend only on their index, so any
 // worker count must reproduce the same result set.
 func squares(n int) []Job[int] {
@@ -25,7 +33,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := squares(64)
 	var want []int
 	for _, workers := range []int{1, 2, 4, 8, 64, 0} {
-		results, st, err := Run(context.Background(), jobs, Options{Workers: workers})
+		results, st, err := runPool(context.Background(), PoolConfig{Workers: workers, FPGAs: -1}, jobs, false, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -68,7 +76,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 			return struct{}{}, nil
 		}
 	}
-	if _, _, err := Run(context.Background(), jobs, Options{Workers: workers}); err != nil {
+	if _, _, err := runPool(context.Background(), PoolConfig{Workers: workers, FPGAs: -1}, jobs, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := max.Load(); got > workers {
@@ -88,7 +96,7 @@ func TestRunErrorIsolation(t *testing.T) {
 			return i, nil
 		}
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 4})
+	results, st, err := runPool(context.Background(), PoolConfig{Workers: 4, FPGAs: -1}, jobs, false, nil)
 	if err != nil {
 		t.Fatalf("non-fail-fast run surfaced batch error: %v", err)
 	}
@@ -124,7 +132,7 @@ func TestRunFailFastSkipsRemainder(t *testing.T) {
 			return i, nil
 		}
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 2, FailFast: true})
+	results, st, err := runPool(context.Background(), PoolConfig{Workers: 2, FPGAs: -1}, jobs, true, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want first job error", err)
 	}
@@ -155,7 +163,7 @@ func TestRunContextCancellationMidBatch(t *testing.T) {
 			return i, nil
 		}
 	}
-	results, st, err := Run(ctx, jobs, Options{Workers: 2})
+	results, st, err := runPool(ctx, PoolConfig{Workers: 2, FPGAs: -1}, jobs, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -203,7 +211,7 @@ func TestRunMidFlightCancelContract(t *testing.T) {
 		started.Wait() // all n jobs in flight: nothing left to skip
 		cancel()
 	}()
-	results, st, err := Run(ctx, jobs, Options{Workers: n})
+	results, st, err := runPool(ctx, PoolConfig{Workers: n, FPGAs: -1}, jobs, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled despite zero skipped jobs", err)
 	}
@@ -228,7 +236,7 @@ func TestRunDeadlineMidFlight(t *testing.T) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	}}
-	_, st, err := Run(ctx, jobs, Options{Workers: 1})
+	_, st, err := runPool(ctx, PoolConfig{Workers: 1, FPGAs: -1}, jobs, false, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -245,7 +253,7 @@ func TestRunJobOwnedTimeoutIsIsolated(t *testing.T) {
 		func(context.Context) (int, error) { return 0, context.DeadlineExceeded },
 		func(context.Context) (int, error) { return 7, nil },
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 1})
+	results, st, err := runPool(context.Background(), PoolConfig{Workers: 1, FPGAs: -1}, jobs, false, nil)
 	if err != nil {
 		t.Fatalf("healthy batch surfaced error: %v", err)
 	}
@@ -270,7 +278,7 @@ func TestRunLateCancelKeepsCompletedResults(t *testing.T) {
 		func(context.Context) (int, error) { return 7, nil },
 	}
 	done := 0
-	results, st, err := RunWith(ctx, jobs, Options{Workers: 1}, func(Result[int]) {
+	results, st, err := runPool(ctx, PoolConfig{Workers: 1, FPGAs: -1}, jobs, false, func(Result[int]) {
 		done++
 		if done == len(jobs) {
 			cancel() // parent dies only after the last job completed
@@ -290,7 +298,7 @@ func TestRunLateCancelKeepsCompletedResults(t *testing.T) {
 func TestRunCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, st, err := Run(ctx, squares(8), Options{Workers: 4})
+	results, st, err := runPool(ctx, PoolConfig{Workers: 4, FPGAs: -1}, squares(8), false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -305,8 +313,14 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 }
 
 func TestStreamCompletionOrderCoversAllJobs(t *testing.T) {
+	p := NewPool(PoolConfig{Workers: 5, FPGAs: -1})
+	defer p.Close()
+	ch, err := Stream(context.Background(), p, squares(32), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
-	for r := range Stream(context.Background(), squares(32), Options{Workers: 5}) {
+	for r := range ch {
 		if seen[r.Index] {
 			t.Fatalf("job %d reported twice", r.Index)
 		}
@@ -321,7 +335,7 @@ func TestStreamCompletionOrderCoversAllJobs(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	results, st, err := Run(context.Background(), []Job[int](nil), Options{})
+	results, st, err := runPool(context.Background(), PoolConfig{FPGAs: -1}, []Job[int](nil), false, nil)
 	if err != nil || len(results) != 0 || st.Jobs != 0 {
 		t.Fatalf("empty batch: results=%v stats=%+v err=%v", results, st, err)
 	}
@@ -335,7 +349,7 @@ func TestStatsWorkWallReflectsParallelism(t *testing.T) {
 			return 0, nil
 		}
 	}
-	_, st, err := Run(context.Background(), jobs, Options{Workers: 4})
+	_, st, err := runPool(context.Background(), PoolConfig{Workers: 4, FPGAs: -1}, jobs, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

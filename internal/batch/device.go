@@ -58,54 +58,31 @@ type DeviceStats struct {
 	ReconfigCost time.Duration
 }
 
-// NewDevice builds a device pool with the given capacity (<= 0 means 1,
-// the paper's single-board host), default scheduling, and no
-// reconfiguration cost.
-func NewDevice(capacity int) *Device {
-	return NewDeviceWith(capacity, 0, sched.Config{})
-}
-
-// NewDeviceWith builds a device pool with an explicit board-queue
-// scheduling configuration and a modeled per-swap reconfiguration delay:
-// every acquisition whose job differs from the board's previous holder
-// keeps the board busy for reconfigCost before the job's own device phase
-// starts.
-func NewDeviceWith(capacity int, reconfigCost time.Duration, cfg sched.Config) *Device {
-	if capacity <= 0 {
-		capacity = 1
+// newDevice maps a board-count knob (PoolConfig.FPGAs) to a device:
+// negative means unlimited boards (nil, no contention modeling), zero the
+// paper's single card, positive the pool size. cfg schedules the board
+// queue, and every acquisition whose job differs from the board's previous
+// holder keeps the board busy for reconfigCost before the job's own device
+// phase starts.
+func newDevice(fpgas int, reconfigCost time.Duration, cfg sched.Config) *Device {
+	if fpgas < 0 {
+		return nil
+	}
+	if fpgas == 0 {
+		fpgas = 1
 	}
 	if reconfigCost < 0 {
 		reconfigCost = 0
 	}
 	return &Device{
-		sem:   sched.NewSemaphore(capacity, cfg),
+		sem:   sched.NewSemaphore(fpgas, cfg),
 		cost:  reconfigCost,
-		stats: DeviceStats{Capacity: capacity, ReconfigCost: reconfigCost},
+		stats: DeviceStats{Capacity: fpgas, ReconfigCost: reconfigCost},
 	}
-}
-
-// DevicePool maps a board-count knob (a -fpgas flag, say) to a device:
-// negative means unlimited boards (nil, no contention modeling), zero means
-// the paper's single card, positive is the pool size. Callers share this
-// policy so every CLI and driver reads the knob identically.
-func DevicePool(fpgas int) *Device {
-	return DevicePoolWith(fpgas, 0, sched.Config{})
-}
-
-// DevicePoolWith is DevicePool with the board queue's scheduling
-// configuration and the modeled reconfiguration cost.
-func DevicePoolWith(fpgas int, reconfigCost time.Duration, cfg sched.Config) *Device {
-	if fpgas < 0 {
-		return nil
-	}
-	return NewDeviceWith(fpgas, reconfigCost, cfg)
 }
 
 // Capacity returns the number of modeled boards.
 func (d *Device) Capacity() int { return d.sem.Capacity() }
-
-// ReconfigCost returns the modeled per-swap board programming delay.
-func (d *Device) ReconfigCost() time.Duration { return d.cost }
 
 // Stats snapshots the cumulative acquisition statistics.
 func (d *Device) Stats() DeviceStats {
@@ -177,16 +154,16 @@ func AddRemoteDeviceUsage(ctx context.Context, wait, hold time.Duration, reconfi
 	usage.reconfigs += reconfigs
 }
 
-// WithDevice returns a context carrying the device pool; jobs claim their
-// accelerator phase from it via AcquireDevice. Stream attaches
-// Options.Device automatically.
-func WithDevice(ctx context.Context, d *Device) context.Context {
+// withDevice returns a context carrying the device pool; jobs claim their
+// accelerator phase from it via AcquireDevice. The pool attaches its own
+// device to every job context.
+func withDevice(ctx context.Context, d *Device) context.Context {
 	return context.WithValue(ctx, deviceKey{}, d)
 }
 
-// DeviceFrom returns the context's device pool, or nil when the batch has
+// deviceFrom returns the context's device pool, or nil when the batch has
 // no accelerator model attached.
-func DeviceFrom(ctx context.Context) *Device {
+func deviceFrom(ctx context.Context) *Device {
 	d, _ := ctx.Value(deviceKey{}).(*Device)
 	return d
 }
@@ -218,7 +195,7 @@ func classFrom(ctx context.Context) sched.Class {
 //
 //flexvet:walltime wait/hold/reconfig measurement is the device model's telemetry: stderr lines and stats sinks only
 func AcquireDevice(ctx context.Context) (release func(), err error) {
-	d := DeviceFrom(ctx)
+	d := deviceFrom(ctx)
 	if d == nil {
 		return func() {}, nil
 	}

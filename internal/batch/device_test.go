@@ -40,9 +40,10 @@ func deviceJobs(n int, holders, maxHolders *atomic.Int32) []Job[int] {
 func TestDeviceBoundsConcurrentHolders(t *testing.T) {
 	for _, capacity := range []int{1, 2} {
 		var holders, max atomic.Int32
-		dev := NewDevice(capacity)
-		_, st, err := Run(context.Background(), deviceJobs(12, &holders, &max),
-			Options{Workers: 6, Device: dev})
+		p := NewPool(PoolConfig{Workers: 6, FPGAs: capacity})
+		_, st, err := Run(context.Background(), p, deviceJobs(12, &holders, &max), nil, false, nil)
+		p.Close()
+		dev := p.Device()
 		if err != nil {
 			t.Fatalf("capacity=%d: %v", capacity, err)
 		}
@@ -69,7 +70,8 @@ func TestDeviceBoundsConcurrentHolders(t *testing.T) {
 // board and jobs that are all in the device phase, later jobs must wait,
 // and the wait lands in their Result and the aggregate stats.
 func TestDeviceContentionRecorded(t *testing.T) {
-	dev := NewDevice(1)
+	p := NewPool(PoolConfig{Workers: 2, FPGAs: 1})
+	defer p.Close()
 	gate := make(chan struct{})
 	first := make(chan struct{})
 	jobs := []Job[int]{
@@ -100,7 +102,7 @@ func TestDeviceContentionRecorded(t *testing.T) {
 			return 2, nil
 		},
 	}
-	results, st, err := Run(context.Background(), jobs, Options{Workers: 2, Device: dev})
+	results, st, err := Run(context.Background(), p, jobs, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestDeviceContentionRecorded(t *testing.T) {
 	if st.DeviceWait <= 0 || st.DeviceContended == 0 {
 		t.Fatalf("aggregate stats missed the contention: %+v", st)
 	}
-	if dev.Stats().Contended == 0 {
+	if p.Device().Stats().Contended == 0 {
 		t.Fatal("device counted no contended acquires")
 	}
 }
@@ -124,8 +126,8 @@ func TestDeviceDeterministicAcrossWorkersAndCapacity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, capacity := range []int{1, 2, 3} {
 			var holders, max atomic.Int32
-			results, _, err := Run(context.Background(), deviceJobs(n, &holders, &max),
-				Options{Workers: workers, Device: NewDevice(capacity)})
+			results, _, err := runPool(context.Background(), PoolConfig{Workers: workers, FPGAs: capacity},
+				deviceJobs(n, &holders, &max), false, nil)
 			if err != nil {
 				t.Fatalf("workers=%d fpgas=%d: %v", workers, capacity, err)
 			}
@@ -154,7 +156,7 @@ func TestAcquireDeviceWithoutDeviceIsFree(t *testing.T) {
 	release()
 	release() // idempotent
 
-	results, st, err := Run(context.Background(),
+	results, st, err := runPool(context.Background(), PoolConfig{Workers: 1, FPGAs: -1},
 		[]Job[int]{func(ctx context.Context) (int, error) {
 			r, err := AcquireDevice(ctx)
 			if err != nil {
@@ -162,7 +164,7 @@ func TestAcquireDeviceWithoutDeviceIsFree(t *testing.T) {
 			}
 			defer r()
 			return 42, nil
-		}}, Options{Workers: 1})
+		}}, false, nil)
 	if err != nil || results[0].Err != nil || results[0].Value != 42 {
 		t.Fatalf("device-less batch: %+v, %v", results, err)
 	}
@@ -172,10 +174,10 @@ func TestAcquireDeviceWithoutDeviceIsFree(t *testing.T) {
 }
 
 func TestAcquireDeviceHonorsCancel(t *testing.T) {
-	dev := NewDevice(1)
+	dev := newDevice(1, 0, sched.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ctx = WithDevice(ctx, dev)
+	ctx = withDevice(ctx, dev)
 
 	hold, err := AcquireDevice(ctx)
 	if err != nil {
@@ -204,8 +206,8 @@ func TestAcquireDeviceHonorsCancel(t *testing.T) {
 }
 
 func TestDeviceReleaseIdempotent(t *testing.T) {
-	dev := NewDevice(1)
-	ctx := WithDevice(context.Background(), dev)
+	dev := newDevice(1, 0, sched.Config{})
+	ctx := withDevice(context.Background(), dev)
 	release, err := AcquireDevice(ctx)
 	if err != nil {
 		t.Fatal(err)

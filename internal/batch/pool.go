@@ -48,7 +48,7 @@ type PoolConfig struct {
 	Workers int
 	// FPGAs is the modeled accelerator board count shared by every batch on
 	// the pool (0 = 1 board, the paper's single-card host; negative =
-	// unlimited, no device modeling) — the DevicePool knob.
+	// unlimited, no device modeling).
 	FPGAs int
 	// QueueDepth bounds admitted jobs (queued + running, across batches);
 	// 0 = unbounded. A batch larger than the whole depth can never be
@@ -74,10 +74,10 @@ type PoolConfig struct {
 }
 
 // Pool is a long-lived bounded worker pool shared by many batch runs — the
-// persistent heart of a legalization service. Where Run/Stream spin workers
-// up per call, a Pool keeps them (and the modeled accelerator boards) alive
-// across batches, so cross-request state — device contention history,
-// admission control, the scheduling queue — has somewhere to live.
+// persistent heart of a legalization service. It keeps its workers (and
+// the modeled accelerator boards) alive across batches, so cross-request
+// state — device contention history, admission control, the scheduling
+// queue — has somewhere to live.
 //
 // Workers feed from a scheduled task queue (internal/sched) rather than a
 // FIFO channel: jobs carry a sched.Class and the queue dequeues by policy —
@@ -100,7 +100,6 @@ type Pool struct {
 	admittedByClient map[string]int // same, per client
 	batches          sync.WaitGroup // admitted batches still draining
 	closed           bool
-	jobsDone         int64 // delivered results, cumulative
 }
 
 // NewPool starts the pool's workers. Callers must Close it to stop them.
@@ -108,20 +107,13 @@ func NewPool(cfg PoolConfig) *Pool {
 	// One derivation of the scheduling config: the worker queue and the
 	// board semaphore must never see different policies or quotas.
 	scfg := sched.Config{Policy: cfg.Policy, Quota: cfg.ClientQuota}
-	return newPool(cfg, scfg, DevicePoolWith(cfg.FPGAs, cfg.ReconfigCost, scfg))
-}
-
-// newPool is the internal constructor: a resolved scheduling config and
-// device instead of the knobs, for the throwaway pools Run/Stream build
-// per call.
-func newPool(cfg PoolConfig, scfg sched.Config, device *Device) *Pool {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &Pool{
 		workers:          workers,
-		device:           device,
+		device:           newDevice(cfg.FPGAs, cfg.ReconfigCost, scfg),
 		depth:            cfg.QueueDepth,
 		cdepth:           cfg.ClientDepth,
 		queue:            sched.NewTaskQueue(scfg),
@@ -154,13 +146,6 @@ func (p *Pool) Device() *Device { return p.device }
 // priority and by client, plus running jobs by client — the service's
 // per-priority queue-depth statistics.
 func (p *Pool) Depths() sched.Depths { return p.queue.Depths() }
-
-// JobsDone returns the cumulative number of job results delivered.
-func (p *Pool) JobsDone() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.jobsDone
-}
 
 // Admitted returns the number of jobs admitted and not yet delivered right
 // now — queued plus running, summed over every in-flight batch. Against
@@ -221,7 +206,6 @@ func (p *Pool) jobDelivered(client string) {
 	if p.admittedByClient[client] <= 0 {
 		delete(p.admittedByClient, client)
 	}
-	p.jobsDone++
 	p.mu.Unlock()
 }
 
@@ -259,56 +243,31 @@ func effectiveWorkers(w, n int) int {
 	return w
 }
 
-// StreamOn executes jobs on the shared pool and sends every job's Result on
+// Stream executes jobs on the shared pool and sends every job's Result on
 // the returned channel in completion order (use Result.Index to reorder).
 // Exactly len(jobs) results are sent — skipped jobs carry ErrSkipped — and
 // the channel is then closed. Callers must drain the channel (cancel ctx to
 // stop early); abandoning it wedges the batch's admission slots and blocks
 // Pool.Close.
 //
-// Admission is atomic: either every job fits the pool's queue depth and the
-// batch runs, or StreamOn returns ErrOverloaded (ErrPoolClosed after Close)
-// and nothing starts. Jobs run under the zero scheduling class; see
-// StreamClassedOn for classed batches.
-func StreamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], failFast bool) (<-chan Result[T], error) {
-	return streamOn(ctx, p, jobs, nil, failFast, nil)
-}
-
-// StreamClassedOn is StreamOn with one sched.Class per job: the pool's
-// scheduler orders the jobs by class everywhere they wait, per-client
-// admission bounds apply (a rejection is a *ClientOverloadedError), and a
+// classes holds one sched.Class per job (nil = every job the zero class):
+// the pool's scheduler orders the jobs by class everywhere they wait, and a
 // job whose deadline has passed when a worker picks it up fails fast with
-// sched.ErrDeadlineExceeded without running. classes must be nil (all
-// zero) or len(jobs) long.
-func StreamClassedOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool) (<-chan Result[T], error) {
-	return streamOn(ctx, p, jobs, classes, failFast, nil)
-}
-
-// streamOn is the shared stream implementation, with an after-drain hook
-// run after the result channel closes — how the per-call Stream wrapper
-// tears its throwaway pool down without an extra relay goroutine.
-func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool, onDrained func()) (<-chan Result[T], error) {
-	if classes != nil && len(classes) != len(jobs) {
+// sched.ErrDeadlineExceeded without running. Admission is atomic: either
+// every job fits the pool's queue depth and per-client bounds and the batch
+// runs, or Stream returns ErrOverloaded (a *ClientOverloadedError for a
+// per-client bound, ErrPoolClosed after Close) and nothing starts.
+func Stream[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool) (<-chan Result[T], error) {
+	if classes == nil {
+		classes = make([]sched.Class, len(jobs))
+	} else if len(classes) != len(jobs) {
 		return nil, fmt.Errorf("batch: %d classes for %d jobs", len(classes), len(jobs))
 	}
-	cls := func(i int) sched.Class {
-		if classes == nil {
-			return sched.Class{}
-		}
-		return classes[i]
-	}
-	admitClasses := classes
-	if admitClasses == nil {
-		admitClasses = make([]sched.Class, len(jobs))
-	}
-	if err := p.admit(admitClasses); err != nil {
+	if err := p.admit(classes); err != nil {
 		return nil, err
 	}
 	out := make(chan Result[T])
 	go func() {
-		if onDrained != nil {
-			defer onDrained()
-		}
 		defer close(out)
 		defer p.batchDone()
 		if len(jobs) == 0 {
@@ -318,7 +277,7 @@ func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sche
 		defer cancel()
 		runCtx := bctx
 		if p.device != nil {
-			runCtx = WithDevice(bctx, p.device)
+			runCtx = withDevice(bctx, p.device)
 		}
 
 		// Buffered to len(jobs): a finished worker never blocks on a slow
@@ -328,7 +287,7 @@ func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sche
 		tickets := make([]*sched.Ticket, len(jobs))
 		for i := range jobs {
 			i := i
-			class := cls(i)
+			class := classes[i]
 			tickets[i] = p.queue.Push(class, func(queued time.Duration) {
 				r := Result[T]{Index: i, SchedWait: queued}
 				switch {
@@ -378,7 +337,7 @@ func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sche
 		// tenants' backlog just to emit its skips.
 		deliver := func(r Result[T]) {
 			out <- r
-			p.jobDelivered(cls(r.Index).Client)
+			p.jobDelivered(classes[r.Index].Client)
 		}
 		remaining := len(jobs)
 		for remaining > 0 {
@@ -403,23 +362,18 @@ func streamOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sche
 	return out, nil
 }
 
-// RunOn executes jobs on the shared pool and returns one Result per job in
-// submission order plus per-batch stats, with the same error contract as
-// Run: per-job errors live in the results; the returned error is admission
-// rejection (ErrOverloaded, ErrPoolClosed — then results and stats are
-// zero), a batch cut short by ctx, or the first error under failFast.
-// onResult (when non-nil) observes each result in completion order.
-// Device statistics are summed from this batch's own jobs, so they stay
-// exact per batch even when concurrent batches share the pool.
-func RunOn[T any](ctx context.Context, p *Pool, jobs []Job[T], failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
-	return RunClassedOn(ctx, p, jobs, nil, failFast, onResult)
-}
-
-// RunClassedOn is RunOn with one sched.Class per job — the blocking form of
-// StreamClassedOn, with its scheduling, quota, and deadline semantics.
-func RunClassedOn[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
+// Run is the blocking form of Stream: it executes jobs on the shared pool
+// and returns one Result per job in submission order plus per-batch stats.
+// Per-job errors live in the results; the returned error is admission
+// rejection (then results and stats are zero), a batch cut short by ctx,
+// or the first error under failFast (later jobs then carry ErrSkipped).
+// onResult (when non-nil) observes each result in completion order, on the
+// collecting goroutine — keep it fast. Device statistics are summed from
+// this batch's own jobs, so they stay exact per batch even when concurrent
+// batches share the pool.
+func Run[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.Class, failFast bool, onResult func(Result[T])) ([]Result[T], Stats, error) {
 	start := time.Now() //flexvet:walltime batch wall for Stats.Wall, reported on stderr only
-	ch, err := streamOn(ctx, p, jobs, classes, failFast, nil)
+	ch, err := Stream(ctx, p, jobs, classes, failFast)
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -13,7 +13,7 @@ func TestPoolReuseAcrossBatches(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 4})
 	defer p.Close()
 	for batchNo := 0; batchNo < 3; batchNo++ {
-		results, st, err := RunOn(context.Background(), p, squares(16), false, nil)
+		results, st, err := Run(context.Background(), p, squares(16), nil, false, nil)
 		if err != nil {
 			t.Fatalf("batch %d: %v", batchNo, err)
 		}
@@ -26,8 +26,8 @@ func TestPoolReuseAcrossBatches(t *testing.T) {
 			t.Fatalf("batch %d stats %+v", batchNo, st)
 		}
 	}
-	if got := p.JobsDone(); got != 48 {
-		t.Fatalf("JobsDone = %d, want 48", got)
+	if got := p.Admitted(); got != 0 {
+		t.Fatalf("%d admission slots still held after every batch drained", got)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestPoolBoundsConcurrencyAcrossBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := RunOn(context.Background(), p, jobs, false, nil); err != nil {
-				t.Errorf("RunOn: %v", err)
+			if _, _, err := Run(context.Background(), p, jobs, nil, false, nil); err != nil {
+				t.Errorf("Run: %v", err)
 			}
 		}()
 	}
@@ -73,7 +73,7 @@ func TestPoolQueueDepthAdmission(t *testing.T) {
 	defer p.Close()
 
 	// A batch larger than the whole depth can never fit.
-	if _, err := StreamOn(context.Background(), p, squares(3), false); !errors.Is(err, ErrOverloaded) {
+	if _, err := Stream(context.Background(), p, squares(3), nil, false); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("oversized batch err = %v, want ErrOverloaded", err)
 	}
 
@@ -85,18 +85,18 @@ func TestPoolQueueDepthAdmission(t *testing.T) {
 		func(context.Context) (int, error) { close(started); <-release; return 1, nil },
 		func(context.Context) (int, error) { return 2, nil },
 	}
-	ch, err := StreamOn(context.Background(), p, blocked, false)
+	ch, err := Stream(context.Background(), p, blocked, nil, false)
 	if err != nil {
 		t.Fatalf("admitting batch rejected: %v", err)
 	}
 	<-started // both slots held: one running, one queued
-	if _, err := StreamOn(context.Background(), p, squares(1), false); !errors.Is(err, ErrOverloaded) {
+	if _, err := Stream(context.Background(), p, squares(1), nil, false); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second batch err = %v, want ErrOverloaded while queue is full", err)
 	}
 	close(release)
 	for range ch {
 	}
-	results, _, err := RunOn(context.Background(), p, squares(2), false, nil)
+	results, _, err := Run(context.Background(), p, squares(2), nil, false, nil)
 	if err != nil {
 		t.Fatalf("drained pool still rejects: %v", err)
 	}
@@ -108,11 +108,11 @@ func TestPoolQueueDepthAdmission(t *testing.T) {
 func TestPoolRejectsAfterClose(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 1})
 	p.Close()
-	if _, err := StreamOn(context.Background(), p, squares(1), false); !errors.Is(err, ErrPoolClosed) {
+	if _, err := Stream(context.Background(), p, squares(1), nil, false); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("err = %v, want ErrPoolClosed", err)
 	}
-	if _, _, err := RunOn(context.Background(), p, squares(1), false, nil); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("RunOn err = %v, want ErrPoolClosed", err)
+	if _, _, err := Run(context.Background(), p, squares(1), nil, false, nil); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("Run err = %v, want ErrPoolClosed", err)
 	}
 	p.Close() // idempotent
 }
@@ -121,7 +121,7 @@ func TestPoolCloseWaitsForInFlightBatch(t *testing.T) {
 	p := NewPool(PoolConfig{Workers: 2})
 	release := make(chan struct{})
 	jobs := []Job[int]{func(context.Context) (int, error) { <-release; return 9, nil }}
-	ch, err := StreamOn(context.Background(), p, jobs, false)
+	ch, err := Stream(context.Background(), p, jobs, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestRunOnDeviceStatsArePerBatchDeltas(t *testing.T) {
 		return 1, nil
 	}
 	for batchNo := 0; batchNo < 2; batchNo++ {
-		_, st, err := RunOn(context.Background(), p, []Job[int]{job, job}, false, nil)
+		_, st, err := Run(context.Background(), p, []Job[int]{job, job}, nil, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,12 +191,12 @@ func TestPoolFailFastIsolatedPerBatch(t *testing.T) {
 			return i, nil
 		}
 	}
-	if _, _, err := RunOn(context.Background(), p, bad, true, nil); !errors.Is(err, boom) {
+	if _, _, err := Run(context.Background(), p, bad, nil, true, nil); !errors.Is(err, boom) {
 		t.Fatalf("fail-fast batch err = %v, want boom", err)
 	}
 	// The sibling batch's context is its own: the tripped batch above must
 	// not poison it.
-	results, st, err := RunOn(context.Background(), p, squares(4), false, nil)
+	results, st, err := Run(context.Background(), p, squares(4), nil, false, nil)
 	if err != nil || st.Errors != 0 || st.Skipped != 0 {
 		t.Fatalf("healthy batch after fail-fast sibling: err=%v stats=%+v", err, st)
 	}

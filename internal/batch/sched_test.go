@@ -36,7 +36,7 @@ func TestClassedPoolRunsByPriority(t *testing.T) {
 		<-gate
 		return -1, nil
 	}}
-	bch, err := StreamOn(context.Background(), p, blocker, false)
+	bch, err := Stream(context.Background(), p, blocker, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestClassedPoolRunsByPriority(t *testing.T) {
 	classes := []sched.Class{
 		{Priority: 0}, {Priority: 9}, {Priority: 4}, {Priority: 9},
 	}
-	ch, err := StreamClassedOn(context.Background(), p, jobs, classes, false)
+	ch, err := Stream(context.Background(), p, jobs, classes, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSchedWaitRecorded(t *testing.T) {
 		return 1, nil
 	}
 	fast := func(context.Context) (int, error) { return 2, nil }
-	results, st, err := RunOn(context.Background(), p, []Job[int]{slow, fast}, false, nil)
+	results, st, err := Run(context.Background(), p, []Job[int]{slow, fast}, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestExpiredDeadlineFailsFastWithoutRunning(t *testing.T) {
 		{},
 		{Deadline: time.Now().Add(-time.Millisecond)}, // already expired
 	}
-	results, st, err := RunClassedOn(context.Background(), p, jobs, classes, false, nil)
+	results, st, err := Run(context.Background(), p, jobs, classes, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestExpiredDeadlineFailsFastWithoutRunning(t *testing.T) {
 	}
 	// A future deadline must not trip.
 	classes[1].Deadline = time.Now().Add(time.Hour)
-	results, _, err = RunClassedOn(context.Background(), p, jobs, classes, false, nil)
+	results, _, err = Run(context.Background(), p, jobs, classes, false, nil)
 	if err != nil || results[1].Err != nil {
 		t.Fatalf("future deadline failed: %v, %+v", err, results[1])
 	}
@@ -172,7 +172,7 @@ func TestClientQuotaCapsInFlight(t *testing.T) {
 		jobs[i] = job
 		classes[i] = sched.Class{Client: "tenant-a"}
 	}
-	if _, _, err := RunClassedOn(context.Background(), p, jobs, classes, false, nil); err != nil {
+	if _, _, err := Run(context.Background(), p, jobs, classes, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := max.Load(); got > 1 {
@@ -191,7 +191,7 @@ func TestClientDepthAdmission(t *testing.T) {
 	for i := range oversized {
 		oversized[i] = sched.Class{Client: "greedy"}
 	}
-	_, err := StreamClassedOn(context.Background(), p, squaresClassed(3), oversized, false)
+	_, err := Stream(context.Background(), p, squaresClassed(3), oversized, false)
 	if !errors.Is(err, ErrClientOverloaded) {
 		t.Fatalf("err = %v, want ErrClientOverloaded", err)
 	}
@@ -209,19 +209,19 @@ func TestClientDepthAdmission(t *testing.T) {
 		func(context.Context) (int, error) { return 2, nil },
 	}
 	two := []sched.Class{{Client: "greedy"}, {Client: "greedy"}}
-	ch, err := StreamClassedOn(context.Background(), p, hold, two, false)
+	ch, err := Stream(context.Background(), p, hold, two, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	_, err = StreamClassedOn(context.Background(), p, squaresClassed(1), []sched.Class{{Client: "greedy"}}, false)
+	_, err = Stream(context.Background(), p, squaresClassed(1), []sched.Class{{Client: "greedy"}}, false)
 	if !errors.Is(err, ErrClientOverloaded) {
 		t.Fatalf("client at depth admitted: %v", err)
 	}
 	if p.AdmittedByClient("greedy") != 2 {
 		t.Fatalf("AdmittedByClient = %d, want 2", p.AdmittedByClient("greedy"))
 	}
-	anon, err := StreamOn(context.Background(), p, squaresClassed(1), false)
+	anon, err := Stream(context.Background(), p, squaresClassed(1), nil, false)
 	if err != nil {
 		t.Fatalf("anonymous client rejected alongside: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestConcurrentBatchAdmissionUnderRace(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
 				jobs := squaresClassed(2)
 				classes := []sched.Class{{Client: client}, {Client: client, Priority: g}}
-				results, _, err := RunClassedOn(context.Background(), p, jobs, classes, false, nil)
+				results, _, err := Run(context.Background(), p, jobs, classes, false, nil)
 				switch {
 				case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClientOverloaded):
 					rejected.Add(1)
@@ -302,14 +302,14 @@ func TestCanceledBatchDrainsWithoutWorkers(t *testing.T) {
 		<-release
 		return 0, nil
 	}}
-	bch, err := StreamOn(context.Background(), p, blocker, false)
+	bch, err := Stream(context.Background(), p, blocker, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
 
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := StreamOn(ctx, p, squaresClassed(8), false)
+	ch, err := Stream(ctx, p, squaresClassed(8), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +346,9 @@ func TestCanceledBatchDrainsWithoutWorkers(t *testing.T) {
 // wait on the books — Wait > 0 and Contended counts each aborted attempt —
 // without double-freeing tokens.
 func TestDeviceCancelDuringWaitStats(t *testing.T) {
-	dev := NewDevice(1)
+	dev := newDevice(1, 0, sched.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	ctx = WithDevice(ctx, dev)
+	ctx = withDevice(ctx, dev)
 
 	hold, err := AcquireDevice(ctx)
 	if err != nil {
@@ -384,7 +384,7 @@ func TestDeviceCancelDuringWaitStats(t *testing.T) {
 		t.Fatalf("aborted queue time vanished: %+v", ds)
 	}
 	// The board must be whole: a fresh acquire succeeds immediately.
-	fresh := WithDevice(context.Background(), dev)
+	fresh := withDevice(context.Background(), dev)
 	release, err := AcquireDevice(fresh)
 	if err != nil {
 		t.Fatal(err)
@@ -400,9 +400,9 @@ func TestDeviceCancelDuringWaitStats(t *testing.T) {
 // modeled delay); a job re-acquiring its own board does not.
 func TestDeviceReconfigChargedBetweenJobs(t *testing.T) {
 	const cost = 5 * time.Millisecond
-	dev := NewDeviceWith(1, cost, sched.Config{})
+	dev := newDevice(1, cost, sched.Config{})
 	acquireAs := func(job string) {
-		ctx := WithDevice(context.Background(), dev)
+		ctx := withDevice(context.Background(), dev)
 		ctx = withClass(ctx, sched.Class{Job: job})
 		release, err := AcquireDevice(ctx)
 		if err != nil {
@@ -432,8 +432,8 @@ func TestDeviceReconfigChargedBetweenJobs(t *testing.T) {
 // cost, reconfigurations are counted but charge no time, so existing
 // configurations behave exactly as before.
 func TestDeviceReconfigFreeByDefault(t *testing.T) {
-	dev := NewDevice(1)
-	ctx := WithDevice(context.Background(), dev)
+	dev := newDevice(1, 0, sched.Config{})
+	ctx := withDevice(context.Background(), dev)
 	release, err := AcquireDevice(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestClassedResultsIdenticalAcrossPolicies(t *testing.T) {
 		for _, classes := range [][]sched.Class{nil, shuffled} {
 			for _, workers := range []int{1, 4} {
 				p := NewPool(PoolConfig{Workers: workers, Policy: policy})
-				results, _, err := RunClassedOn(context.Background(), p, jobs, classes, false, nil)
+				results, _, err := Run(context.Background(), p, jobs, classes, false, nil)
 				p.Close()
 				if err != nil {
 					t.Fatal(err)

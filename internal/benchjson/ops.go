@@ -1,8 +1,7 @@
-package experiments
+package benchjson
 
 import (
 	"github.com/flex-eda/flex/internal/analytical"
-	"github.com/flex-eda/flex/internal/benchjson"
 	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/fop"
 	"github.com/flex-eda/flex/internal/gpu"
@@ -10,14 +9,14 @@ import (
 	"github.com/flex-eda/flex/internal/shift"
 )
 
-// This file converts each engine's Stats into the flat benchjson.Ops form
-// persisted in BENCH_*.json. Every key is a deterministic counter; the
-// perf weights price most of them, and the rest (placed, failed, gpu
-// batching shape) pin the algorithmic trajectory. Keys are stable API:
-// benchdiff compares them across commits, so renaming one is a schema
-// change (docs/BENCHMARKING.md lists them all).
+// This file converts each engine's Stats into the flat Ops form persisted
+// in BENCH_*.json and carried on flex.Outcome.Ops. Every key is a
+// deterministic counter; the perf weights price most of them, and the rest
+// (placed, failed, gpu batching shape) pin the algorithmic trajectory.
+// Keys are stable API: benchdiff compares them across commits, so renaming
+// one is a schema change (docs/BENCHMARKING.md lists them all).
 
-func shiftOps(o benchjson.Ops, prefix string, st shift.Stats) {
+func shiftOps(o Ops, prefix string, st shift.Stats) {
 	o[prefix+".passes"] = int64(st.Passes)
 	o[prefix+".subcellVisits"] = int64(st.SubcellVisits)
 	o[prefix+".moves"] = int64(st.Moves)
@@ -25,7 +24,7 @@ func shiftOps(o benchjson.Ops, prefix string, st shift.Stats) {
 	o[prefix+".sortOps"] = int64(st.SortOps)
 }
 
-func fopOps(o benchjson.Ops, st fop.Stats) {
+func fopOps(o Ops, st fop.Stats) {
 	o["fop.candidateRows"] = int64(st.CandidateRows)
 	o["fop.insertionPoints"] = int64(st.InsertionPoints)
 	o["fop.chainCells"] = int64(st.ChainCells)
@@ -36,10 +35,10 @@ func fopOps(o benchjson.Ops, st fop.Stats) {
 	o["fop.curve.traversal"] = int64(st.Curve.Traversal)
 }
 
-// mglOps flattens the shared MGL-flow counters (the FLEX engine embeds the
-// same Stats).
-func mglOps(st mgl.Stats) benchjson.Ops {
-	o := benchjson.Ops{}
+// MGLOps flattens the shared MGL-flow counters of the MGL and MGL-MT
+// engines (the FLEX engine embeds the same Stats).
+func MGLOps(st mgl.Stats) Ops {
+	o := Ops{}
 	o["premove.cells"] = st.PreMoveCells
 	o["order.ops"] = st.OrderOps
 	o["region.builds"] = st.RegionBuilds
@@ -55,25 +54,18 @@ func mglOps(st mgl.Stats) benchjson.Ops {
 	return o
 }
 
-func flexOps(res *core.Result) benchjson.Ops {
-	o := mglOps(res.Stats)
+// FlexOps is MGLOps plus the FLEX engine's FPGA-model counters.
+func FlexOps(res *core.Result) Ops {
+	o := MGLOps(res.Stats)
 	o["fpga.cycles"] = int64(res.FPGACycles)
 	o["fpga.regions"] = int64(res.Regions)
 	o["fpga.preloadedRegions"] = int64(res.PreloadedRegions)
 	return o
 }
 
-func flexBreakdown(res *core.Result) *benchjson.Breakdown {
-	return &benchjson.Breakdown{
-		FPGASeconds:      res.FPGASeconds,
-		CPUSerialSeconds: res.CPUSerialSeconds,
-		CPUSteadySeconds: res.CPUSteadySeconds,
-		TransferSeconds:  res.TransferSeconds,
-	}
-}
-
-func gpuOps(res *gpu.Result) benchjson.Ops {
-	o := benchjson.Ops{}
+// GPUOps flattens the DATE'22-style CPU-GPU engine's counters.
+func GPUOps(res *gpu.Result) Ops {
+	o := Ops{}
 	fopOps(o, res.MGLStats.FOP)
 	shiftOps(o, "commit", res.MGLStats.Commit)
 	o["placed"] = res.MGLStats.Placed
@@ -86,8 +78,9 @@ func gpuOps(res *gpu.Result) benchjson.Ops {
 	return o
 }
 
-func analyticalOps(res *analytical.Result) benchjson.Ops {
-	o := benchjson.Ops{}
+// AnalyticalOps flattens the ISPD'25-style analytical engine's counters.
+func AnalyticalOps(res *analytical.Result) Ops {
+	o := Ops{}
 	o["iterations"] = int64(res.Stats.Iterations)
 	o["rowSolves"] = res.Stats.RowSolves
 	o["subcellItems"] = res.Stats.SubcellItems

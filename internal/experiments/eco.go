@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/core"
-	"github.com/flex-eda/flex/internal/eco"
 	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
 	"github.com/flex-eda/flex/internal/shard"
@@ -52,55 +49,11 @@ func (p EcoPoint) Speedup() float64 {
 	return 0
 }
 
-// bandRun is one band's legalization outcome inside the eco driver.
-type ecoBandRun struct {
-	layout  *model.Layout
-	seconds float64
-	legal   bool
-	ops     benchjson.Ops
-}
-
-// legalizeBands fans one FLEX job per listed band index through the pool
-// (nil bands = all) and returns the per-band runs, indexed like bands.
-func legalizeBands(opt Options, pool *batch.Pool, bands []*model.Layout, idx []int) ([]ecoBandRun, error) {
-	if idx == nil {
-		idx = make([]int, len(bands))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	jobs := make([]batch.Job[ecoBandRun], len(idx))
-	for j, b := range idx {
-		band := bands[b]
-		jobs[j] = func(ctx context.Context) (ecoBandRun, error) {
-			return runOnDevice(ctx, func() (ecoBandRun, error) {
-				r := core.Legalize(band, core.Config{MeasureOriginalShift: opt.MeasureOriginal})
-				return ecoBandRun{layout: r.Layout, seconds: r.TotalSeconds, legal: r.Legal, ops: flexOps(r)}, nil
-			})
-		}
-	}
-	results, st, err := batch.RunOn(context.Background(), pool, jobs, true, nil)
-	if opt.Stats != nil {
-		opt.Stats.Add(st)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ecoBandRun, len(idx))
-	for j, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("band %d: %w", idx[j], r.Err)
-		}
-		out[j] = r.Value
-	}
-	return out, nil
-}
-
 // interiorEdit picks a deterministic in-halo move inside band b of the
 // plan: the first movable parity-free cell whose halo-expanded row span
 // stays strictly inside the band (so exactly one band dirties), shifted
 // horizontally. Returns ok = false when the band has no eligible cell.
-func interiorEdit(l *model.Layout, p *shard.Plan, b int, used map[string]bool) (eco.Edit, bool) {
+func interiorEdit(l *model.Layout, p *shard.Plan, b int, used map[string]bool) (flex.Edit, bool) {
 	band := p.Bands[b]
 	for i := range l.Cells {
 		c := &l.Cells[i]
@@ -111,18 +64,28 @@ func interiorEdit(l *model.Layout, p *shard.Plan, b int, used map[string]bool) (
 			continue
 		}
 		gx := (c.GX + 7) % (l.NumSitesX - c.W + 1)
-		return eco.Edit{Op: eco.OpMove, Cell: c.Name, GX: gx, GY: c.GY}, true
+		return flex.Edit{Op: flex.EditMove, Cell: c.Name, GX: gx, GY: c.GY}, true
 	}
-	return eco.Edit{}, false
+	return flex.Edit{}, false
 }
+
+// ecoCacheBytes bounds the outcome cache of the Eco driver's incremental
+// service. Every edit's lookup refreshes the base entry, so only an edited
+// entry larger than the rest of the budget could evict it — and then the
+// edit misses the incremental path and the driver fails, saying so.
+const ecoCacheBytes = 256 << 20
 
 // Eco measures the incremental (ECO) legalization path over the (filtered,
 // scaled) suite: per design, legalize the whole die once across bands row
-// bands, then serve edits single-cell in-halo moves — each against the same
-// base — both incrementally (dirty bands only, clean bands spliced from the
-// base run) and as full re-runs. The two stitched results must be
-// byte-identical per edit; any disagreement fails the driver. The modeled
-// speedup is the full-stream cost over the incremental-stream cost.
+// bands on a flex.Service with an outcome cache, then serve edits
+// single-cell in-halo moves — each against the same base — as edited jobs
+// on that service, which re-solves the dirty bands and splices the rest
+// from the cached base outcome. Each edit's full re-run comes from a second
+// service with no outcome cache, so the reference can never come from the
+// cache it checks. The two stitched results must be byte-identical per
+// edit, and every edit must take the incremental path; either failure fails
+// the driver. The modeled speedup is the full-stream cost over the
+// incremental-stream cost.
 func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 	opt = opt.withDefaults()
 	if bands < 1 {
@@ -138,27 +101,27 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("eco: empty suite")
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
-		defer pool.Close()
-	}
+	inc := opt.newService(flex.WithOutcomeCacheBytes(ecoCacheBytes))
+	defer inc.Close()
+	ref := opt.newService()
+	defer ref.Close()
 	out := make([]EcoPoint, 0, len(suite))
 	for _, spec := range suite {
 		base, err := opt.generate(spec, opt.Scale)
 		if err != nil {
 			return nil, err
 		}
+		// The service plans the same bands; the driver's copy only picks
+		// edits that stay inside one band.
 		plan, err := shard.PlanBands(base, bands, halo)
 		if err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
-		baseBands, err := shard.Split(base, plan)
-		if err != nil {
-			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
+		job := flex.BatchJob{
+			Layout: base, Engine: flex.EngineFLEX, Priority: opt.Priority,
+			Shards: bands, ShardHalo: shardHalo(halo),
 		}
-		baseRuns, err := legalizeBands(opt, pool, baseBands, nil)
-		if err != nil {
+		if _, err := submit(opt, inc, []flex.BatchJob{job}); err != nil {
 			return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 		}
 		pt := EcoPoint{
@@ -179,85 +142,43 @@ func Eco(opt Options, bands, halo, edits int) ([]EcoPoint, error) {
 				continue
 			}
 			used[edit.Cell] = true
-			edited, err := eco.Apply(base, []eco.Edit{edit})
+			job.Edits = []flex.Edit{edit}
+			before := inc.Stats().Incremental
+			incRes, err := submit(opt, inc, []flex.BatchJob{job})
 			if err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
-			editedBands, err := shard.Split(edited, plan)
+			if inc.Stats().Incremental == before {
+				return nil, fmt.Errorf("eco %s edit %d: the edit missed the incremental path (full-run fallback)", spec.Name, e)
+			}
+			fullRes, err := submit(opt, ref, []flex.BatchJob{job})
 			if err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
-			spans, inHalo, err := eco.DirtySpans(base, []eco.Edit{edit}, plan.Halo)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			if !inHalo {
-				return nil, fmt.Errorf("eco %s: interior edit classified out of halo", spec.Name)
-			}
-			var dirtyIdx []int
-			for b, d := range eco.MarkDirty(plan, spans) {
-				if d {
-					dirtyIdx = append(dirtyIdx, b)
+			// Only an engine run carries op counts: bands spliced from the
+			// cached base outcome have none.
+			for _, band := range incRes[0].Shards {
+				if band.Outcome.Ops == nil {
+					continue
 				}
+				pt.Dirty++
+				pt.IncModeled += band.Outcome.ModeledSeconds
+				pt.Ops.Add(band.Outcome.Ops)
 			}
-			// Hash-verify the splice the way the service does: a predicted-
-			// clean band whose input changed would make reuse unsound.
-			dirty := make(map[int]bool, len(dirtyIdx))
-			for _, b := range dirtyIdx {
-				dirty[b] = true
-			}
-			for b := range plan.Bands {
-				if !dirty[b] && eco.Hash(editedBands[b]) != eco.Hash(baseBands[b]) {
-					return nil, fmt.Errorf("eco %s: clean band %d changed under an interior edit", spec.Name, b)
-				}
-			}
-
-			// Incremental: re-legalize the dirty bands, splice the rest.
-			incRuns, err := legalizeBands(opt, pool, editedBands, dirtyIdx)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			incLayouts := make([]*model.Layout, len(plan.Bands))
-			for b := range plan.Bands {
-				incLayouts[b] = baseRuns[b].layout
-			}
-			for j, b := range dirtyIdx {
-				incLayouts[b] = incRuns[j].layout
-				pt.IncModeled += incRuns[j].seconds
-				pt.Ops.Add(incRuns[j].ops)
-			}
-			incStitched, err := shard.Stitch(edited, plan, incLayouts)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-
-			// Full re-run of the edited die, the baseline the splice must
-			// reproduce exactly.
-			fullRuns, err := legalizeBands(opt, pool, editedBands, nil)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
-			}
-			fullLayouts := make([]*model.Layout, len(plan.Bands))
-			for b := range plan.Bands {
-				fullLayouts[b] = fullRuns[b].layout
-				pt.FullModeled += fullRuns[b].seconds
-			}
-			fullStitched, err := shard.Stitch(edited, plan, fullLayouts)
-			if err != nil {
-				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
+			for _, band := range fullRes[0].Shards {
+				pt.FullModeled += band.Outcome.ModeledSeconds
 			}
 			var incBuf, fullBuf bytes.Buffer
-			if err := model.Encode(&incBuf, incStitched); err != nil {
+			if err := model.Encode(&incBuf, incRes[0].Outcome.Layout); err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
-			if err := model.Encode(&fullBuf, fullStitched); err != nil {
+			if err := model.Encode(&fullBuf, fullRes[0].Outcome.Layout); err != nil {
 				return nil, fmt.Errorf("eco %s: %w", spec.Name, err)
 			}
 			if !bytes.Equal(incBuf.Bytes(), fullBuf.Bytes()) {
 				return nil, fmt.Errorf("eco %s edit %d: incremental result differs from full re-run", spec.Name, e)
 			}
 			pt.Edits++
-			pt.Dirty += len(dirtyIdx)
 		}
 		if pt.Edits == 0 {
 			return nil, fmt.Errorf("eco %s: no band holds an interior movable cell at scale %g; raise -scale or lower -eco-bands", spec.Name, opt.Scale)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/analytical"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/benchjson"
@@ -33,7 +34,9 @@ type Options struct {
 	// Designs filters the suite by name; empty = all 16.
 	Designs []string
 	// MeasureOriginal instruments the original multi-pass shifting per
-	// insertion point (slower, more faithful Normal-Pipeline cycle counts).
+	// insertion point (slower, more faithful Normal-Pipeline cycle counts)
+	// in the Table1 and Fig8 drivers. The flex.Service drivers (Sharded,
+	// Sched, Eco) run the default PE, which never reads it.
 	MeasureOriginal bool
 	// Threads is the CPU baseline's thread count (0 = 8, the paper's).
 	Threads int
@@ -54,12 +57,18 @@ type Options struct {
 	// without perturbing the deterministic tables.
 	Stats *batch.Stats
 	// Pool, when non-nil, is a shared long-lived executor (workers +
-	// modeled boards + admission control) the driver's batches run on —
-	// the service wiring that lets one flexbench invocation share workers
-	// and device history across every driver. It overrides Workers and
-	// FPGAs. nil builds a throwaway pool per driver call, the historical
-	// behaviour.
+	// modeled boards + admission control) the Table1 and figure drivers'
+	// batches run on, so one flexbench invocation shares workers and
+	// device history across them. It overrides Workers and FPGAs for those
+	// drivers. nil builds a throwaway pool per driver call.
 	Pool *batch.Pool
+	// ServiceOptions configure the flex.Service each call of the Sharded,
+	// Sched and Eco drivers builds and submits to (scheduler,
+	// reconfiguration cost), after the WithWorkers/WithFPGAs derived from
+	// Workers and FPGAs. They must not turn on an outcome cache: the Eco
+	// driver adds its own, and a cache would serve the other drivers'
+	// repeated jobs without running them.
+	ServiceOptions []flex.ServiceOption
 	// Priority stamps every driver job's scheduling class (flexbench's
 	// -priority flag): on a shared pool, a whole flexbench run can be
 	// demoted below (or promoted above) concurrent traffic. Scheduling
@@ -76,7 +85,7 @@ type Options struct {
 	// driver's batch completes, in deterministic suite × engine order, and
 	// contain only deterministic facts (op counts, modeled seconds,
 	// quality), so the serialized file is byte-stable across runs. Only
-	// the Table1, Sharded and Sched drivers record; see
+	// the Table1, Sharded, Sched and Eco drivers record; see
 	// docs/BENCHMARKING.md for the schema.
 	Bench *benchjson.Experiment
 }
@@ -166,15 +175,15 @@ func Table1(opt Options) ([]Table1Row, error) {
 					secs := perf.DefaultCPU.ParallelSeconds(res.Stats.WorkSerial,
 						res.Stats.WorkCritical, int(res.Stats.Batches), opt.Threads)
 					return EngineCell{AveDis: res.Metrics.AveDis, Seconds: secs, Legal: res.Legal,
-						MaxDis: res.Metrics.MaxDis, Ops: mglOps(res.Stats)}, nil
+						MaxDis: res.Metrics.MaxDis, Ops: benchjson.MGLOps(res.Stats)}, nil
 				case 1:
 					res := gpu.Legalize(l, gpu.Config{})
 					return EngineCell{AveDis: res.Metrics.AveDis, Seconds: res.TotalSeconds, Legal: res.Legal,
-						MaxDis: res.Metrics.MaxDis, Ops: gpuOps(res)}, nil
+						MaxDis: res.Metrics.MaxDis, Ops: benchjson.GPUOps(res)}, nil
 				case 2:
 					res := analytical.Legalize(l, analytical.Config{})
 					return EngineCell{AveDis: res.Metrics.AveDis, Seconds: res.TotalSeconds, Legal: res.Legal,
-						MaxDis: res.Metrics.MaxDis, Ops: analyticalOps(res)}, nil
+						MaxDis: res.Metrics.MaxDis, Ops: benchjson.AnalyticalOps(res)}, nil
 				default:
 					// FLEX streams the design through the shared board:
 					// hold a device token for the engine run while the
@@ -182,7 +191,7 @@ func Table1(opt Options) ([]Table1Row, error) {
 					return runOnDevice(ctx, func() (EngineCell, error) {
 						res := core.Legalize(l, core.Config{MeasureOriginalShift: opt.MeasureOriginal})
 						return EngineCell{AveDis: res.Metrics.AveDis, Seconds: res.TotalSeconds, Legal: res.Legal,
-							MaxDis: res.Metrics.MaxDis, Ops: flexOps(res), Modeled: flexBreakdown(res)}, nil
+							MaxDis: res.Metrics.MaxDis, Ops: benchjson.FlexOps(res), Modeled: flexBreakdown(res)}, nil
 					})
 				}
 			})
@@ -233,6 +242,17 @@ func Table1(opt Options) ([]Table1Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// flexBreakdown is the FLEX engine's modeled-seconds decomposition as the
+// benchjson record persists it.
+func flexBreakdown(res *core.Result) *benchjson.Breakdown {
+	return &benchjson.Breakdown{
+		FPGASeconds:      res.FPGASeconds,
+		CPUSerialSeconds: res.CPUSerialSeconds,
+		CPUSteadySeconds: res.CPUSteadySeconds,
+		TransferSeconds:  res.TransferSeconds,
+	}
 }
 
 // RenderTable1 formats Table-1 rows like the paper.

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/flex-eda/flex"
+	"github.com/flex-eda/flex/internal/benchjson"
 )
 
 // tiny keeps experiment tests fast: two contrasting designs at small scale.
@@ -41,6 +45,44 @@ func TestTable1ShapesHold(t *testing.T) {
 	out := RenderTable1(rows).String()
 	if !strings.Contains(out, "Acc(T)") || !strings.Contains(out, "Average") {
 		t.Fatalf("rendered table missing expected pieces:\n%s", out)
+	}
+}
+
+// TestTable1OpsMatchServicePath pins the one op-key list: the Table1
+// driver calls the engines directly while the Service-driven drivers read
+// flex.Outcome.Ops, and both must record the same counts for the same run.
+func TestTable1OpsMatchServicePath(t *testing.T) {
+	opt := tiny
+	opt.Bench = benchjson.New(benchjson.Env{}, benchjson.Config{}).Experiment("table1")
+	if _, err := Table1(opt); err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]flex.Engine{
+		"mgl-mt": flex.EngineMGLMT, "gpu": flex.EngineGPU,
+		"analytical": flex.EngineAnalytical, "flex": flex.EngineFLEX,
+	}
+	compared := 0
+	for _, spec := range opt.withDefaults().suite() {
+		l, err := opt.generate(spec, opt.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range opt.Bench.Records {
+			if rec.Design != spec.Name {
+				continue
+			}
+			out, err := flex.Legalize(l, engines[rec.Engine])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(map[string]int64(rec.Ops), out.Ops) {
+				t.Fatalf("%s/%s: table1 ops %v, Outcome.Ops %v", spec.Name, rec.Engine, rec.Ops, out.Ops)
+			}
+			compared++
+		}
+	}
+	if compared != 2*len(engines) {
+		t.Fatalf("compared %d records, want %d", compared, 2*len(engines))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/batch"
 	"github.com/flex-eda/flex/internal/gen"
 	"github.com/flex-eda/flex/internal/model"
@@ -44,7 +45,7 @@ func run[T any](opt Options, jobs []batch.Job[T]) ([]T, error) {
 			classes[i] = sched.Class{Priority: opt.Priority}
 		}
 	}
-	results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, classes, true, nil)
+	results, st, err := batch.Run(context.Background(), pool, jobs, classes, true, nil)
 	if opt.Stats != nil {
 		opt.Stats.Add(st)
 	}
@@ -52,6 +53,58 @@ func run[T any](opt Options, jobs []batch.Job[T]) ([]T, error) {
 		return nil, err
 	}
 	return batch.Values(results)
+}
+
+// newService builds the flex.Service one call of a Service-driven driver
+// (sharded, sched, eco) submits its jobs to: Options.Workers and
+// Options.FPGAs size it, Options.ServiceOptions follow, then extra. The
+// caller closes it. Every call gets a fresh service, so no outcome cached
+// by one call can serve another and each driver call's tables stay
+// byte-identical across repetitions.
+func (o Options) newService(extra ...flex.ServiceOption) *flex.Service {
+	opts := []flex.ServiceOption{flex.WithWorkers(o.Workers), flex.WithFPGAs(o.FPGAs)}
+	opts = append(opts, o.ServiceOptions...)
+	return flex.NewService(append(opts, extra...)...)
+}
+
+// submit runs jobs on svc as one fail-fast batch and returns the results in
+// submission order, failing on the first job error. The batch's scheduling
+// statistics accumulate into Options.Stats when set; board acquisitions
+// come from the service's counters, so they are exact while one driver at a
+// time uses svc.
+func submit(opt Options, svc *flex.Service, jobs []flex.BatchJob) ([]flex.BatchResult, error) {
+	before := svc.Stats()
+	sum, err := svc.Submit(context.Background(), jobs, flex.SubmitOptions{FailFast: true})
+	if sum != nil && opt.Stats != nil {
+		after := svc.Stats()
+		opt.Stats.Add(batch.Stats{
+			Jobs: len(jobs), Errors: sum.Errors, Skipped: sum.Skipped, Workers: sum.Workers,
+			Wall: sum.Wall, WorkWall: sum.WorkWall, SchedWait: sum.SchedWait,
+			FPGAs: sum.FPGAs, DeviceWait: sum.DeviceWait, DeviceHold: sum.DeviceHold,
+			DeviceAcquires:     after.DeviceAcquires - before.DeviceAcquires,
+			DeviceContended:    after.DeviceContended - before.DeviceContended,
+			DeviceReconfigs:    sum.Reconfigs,
+			DeviceReconfigTime: after.ReconfigTime - before.ReconfigTime,
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range sum.Results {
+		if r.Err != nil {
+			return nil, r.Err
+		}
+	}
+	return sum.Results, nil
+}
+
+// shardHalo maps a driver's seam window in rows (0 = none) onto
+// BatchJob.ShardHalo, where 0 would mean the service default.
+func shardHalo(rows int) int {
+	if rows <= 0 {
+		return -1
+	}
+	return rows
 }
 
 // generate builds spec at scale, through the shared layout cache when the

@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"time"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/core"
 	"github.com/flex-eda/flex/internal/report"
-	"github.com/flex-eda/flex/internal/sched"
 )
 
 // SchedPoint is one priority class's outcome in the scheduling experiment:
@@ -60,10 +57,11 @@ var schedClasses = []struct {
 }
 
 // Sched runs the scheduling experiment: perClass identical FLEX jobs per
-// priority class on the first selected design, all submitted at once, bulk
-// first. The engines are deterministic, so the table (jobs and legality per
-// class) is byte-identical across schedulers, workers and boards; only the
-// wait distributions move — which is exactly what the experiment measures.
+// priority class on the first selected design, all submitted to one
+// flex.Service in one batch, bulk first. The engines are deterministic,
+// so the table (jobs and legality per class) is byte-identical across
+// schedulers, workers and boards; only the wait distributions move — which
+// is exactly what the experiment measures.
 func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 	opt = opt.withDefaults()
 	if perClass < 1 {
@@ -79,43 +77,21 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 		return nil, err
 	}
 
-	// schedRun is one job's deterministic outcome: legality for the
-	// rendered table, ops and modeled seconds for the benchjson record.
-	type schedRun struct {
-		legal   bool
-		seconds float64
-		ops     benchjson.Ops
-	}
 	n := perClass * len(schedClasses)
-	jobs := make([]batch.Job[schedRun], 0, n)
-	classes := make([]sched.Class, 0, n)
+	jobs := make([]flex.BatchJob, 0, n)
 	owner := make([]int, 0, n) // job index -> class index
 	for ci, c := range schedClasses {
 		for i := 0; i < perClass; i++ {
-			jobs = append(jobs, func(ctx context.Context) (schedRun, error) {
-				return runOnDevice(ctx, func() (schedRun, error) {
-					res := core.Legalize(l, core.Config{})
-					return schedRun{legal: res.Legal, seconds: res.TotalSeconds, ops: flexOps(res)}, nil
-				})
-			})
-			classes = append(classes, sched.Class{
-				Priority: c.priority,
-				Client:   c.label,
-				Job:      fmt.Sprintf("sched-%s-%d", c.label, i),
+			jobs = append(jobs, flex.BatchJob{
+				Layout: l, Engine: flex.EngineFLEX,
+				Priority: c.priority, Client: c.label,
 			})
 			owner = append(owner, ci)
 		}
 	}
-
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
-		defer pool.Close()
-	}
-	results, st, err := batch.RunClassedOn(context.Background(), pool, jobs, classes, true, nil)
-	if opt.Stats != nil {
-		opt.Stats.Add(st)
-	}
+	svc := opt.newService()
+	defer svc.Close()
+	results, err := submit(opt, svc, jobs)
 	if err != nil {
 		return nil, fmt.Errorf("sched %s: %w", spec.Name, err)
 	}
@@ -129,11 +105,11 @@ func Sched(opt Options, perClass int) ([]SchedPoint, error) {
 	for i, r := range results {
 		ci := owner[i]
 		pts[ci].Jobs++
-		if r.Value.legal {
+		if r.Outcome.Legal {
 			pts[ci].Legal++
 		}
-		pts[ci].ModeledSeconds += r.Value.seconds
-		pts[ci].Ops.Add(r.Value.ops)
+		pts[ci].ModeledSeconds += r.Outcome.ModeledSeconds
+		pts[ci].Ops.Add(r.Outcome.Ops)
 		pts[ci].DeviceWait += r.DeviceWait
 		waits[ci] = append(waits[ci], r.SchedWait)
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"github.com/flex-eda/flex/internal/batch"
 )
 
 // TestSchedExperimentPriorityBeatsBulk pins the acceptance criterion on a
@@ -13,9 +11,7 @@ import (
 // strictly below the bulk class's (bulk was submitted first — the
 // adversarial order), and every class's table columns stay deterministic.
 func TestSchedExperimentPriorityBeatsBulk(t *testing.T) {
-	pool := batch.NewPool(batch.PoolConfig{Workers: 1, FPGAs: 1})
-	defer pool.Close()
-	opt := Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Pool: pool}
+	opt := Options{Scale: 0.008, Designs: []string{"fft_a_md2"}, Workers: 1, FPGAs: 1}
 	pts, err := Sched(opt, 3)
 	if err != nil {
 		t.Fatal(err)

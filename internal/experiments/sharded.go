@@ -1,24 +1,20 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"github.com/flex-eda/flex/internal/batch"
+	"github.com/flex-eda/flex"
 	"github.com/flex-eda/flex/internal/benchjson"
-	"github.com/flex-eda/flex/internal/core"
-	"github.com/flex-eda/flex/internal/model"
 	"github.com/flex-eda/flex/internal/report"
-	"github.com/flex-eda/flex/internal/shard"
 )
 
 // ShardedPoint is one design's row-band sharded legalization run (the
 // "Sharded full-scale runs" extension; see docs/ARCHITECTURE.md): the
 // design is split into Bands horizontal row bands, each band legalized by
-// the FLEX engine as an independent pool job, and the bands stitched back
-// into one whole-die layout whose quality is measured against the original
-// global placement.
+// the FLEX engine as an independent pool job of a flex.Service, and the
+// bands stitched back into one whole-die layout whose quality is measured
+// against the original global placement.
 type ShardedPoint struct {
 	Name  string
 	Cells int // movable cells
@@ -50,13 +46,13 @@ type ShardedPoint struct {
 }
 
 // Sharded runs the row-band sharding path over the (filtered, scaled)
-// suite: per design, plan/split into shards bands with the given halo, fan
-// one FLEX-engine job per band through the worker pool (each band holds a
-// modeled board for its engine phase), stitch, and measure the whole-die
-// result. Designs run one after another so only one design's bands are
-// resident at a time — the memory shape that lets paper-scale superblue
-// runs fit. Superblue designs join the suite by explicit Options.Designs
-// name.
+// suite: per design, submit one FLEX job with Shards/ShardHalo set to a
+// flex.Service, which plans and splits the design into bands, legalizes
+// each band as its own pool job (holding a modeled board for its engine
+// phase), stitches them, and measures the whole-die result. Designs run one
+// after another so only one design's bands are resident at a time — the
+// memory shape that lets paper-scale superblue runs fit. Superblue designs
+// join the suite by explicit Options.Designs name.
 func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 	opt = opt.withDefaults()
 	if shards < 1 {
@@ -69,87 +65,42 @@ func Sharded(opt Options, shards, halo int) ([]ShardedPoint, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("sharded: empty suite")
 	}
-	pool := opt.Pool
-	if pool == nil {
-		pool = batch.NewPool(batch.PoolConfig{Workers: opt.Workers, FPGAs: opt.FPGAs})
-		defer pool.Close()
-	}
+	svc := opt.newService()
+	defer svc.Close()
 	out := make([]ShardedPoint, 0, len(suite))
 	for _, spec := range suite {
 		l, err := opt.generate(spec, opt.Scale)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := shard.PlanBands(l, shards, halo)
+		res, err := submit(opt, svc, []flex.BatchJob{{
+			Layout: l, Engine: flex.EngineFLEX, Priority: opt.Priority,
+			Shards: shards, ShardHalo: shardHalo(halo),
+		}})
 		if err != nil {
 			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
 		}
-		bands, err := shard.Split(l, plan)
-		if err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
-		}
-		type bandRun struct {
-			layout  *model.Layout
-			seconds float64
-			legal   bool
-			ops     benchjson.Ops
-		}
-		jobs := make([]batch.Job[bandRun], len(bands))
-		for b := range bands {
-			band := bands[b]
-			jobs[b] = func(ctx context.Context) (bandRun, error) {
-				// Every band streams through the shared board like any
-				// other FLEX-engine job.
-				return runOnDevice(ctx, func() (bandRun, error) {
-					r := core.Legalize(band, core.Config{MeasureOriginalShift: opt.MeasureOriginal})
-					return bandRun{layout: r.Layout, seconds: r.TotalSeconds, legal: r.Legal, ops: flexOps(r)}, nil
-				})
-			}
-		}
-		results, st, err := batch.RunOn(context.Background(), pool, jobs, true, nil)
-		if opt.Stats != nil {
-			opt.Stats.Add(st)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
-		}
+		stitched := res[0].Outcome
 		pt := ShardedPoint{
-			Name:  spec.Name,
-			Cells: len(l.MovableIDs()),
-			Rows:  l.NumRows,
-			Bands: len(bands),
-			Halo:  halo,
-			Legal: true,
-			Ops:   benchjson.Ops{},
+			Name:   spec.Name,
+			Cells:  len(l.MovableIDs()),
+			Rows:   l.NumRows,
+			Bands:  len(res[0].Shards),
+			Halo:   halo,
+			Legal:  stitched.Legal,
+			AveDis: stitched.Metrics.AveDis,
+			MaxDis: stitched.Metrics.MaxDis,
+			// The stitched outcome's modeled time is its slowest band's.
+			ModeledMax: stitched.ModeledSeconds,
+			Ops:        benchjson.Ops{},
 		}
-		legalized := make([]*model.Layout, len(bands))
-		for b, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("sharded %s band %d: %w", spec.Name, b, r.Err)
-			}
-			run := r.Value
-			legalized[b] = run.layout
-			if !run.legal {
-				pt.Legal = false
-			}
-			pt.ModeledSum += run.seconds
-			if run.seconds > pt.ModeledMax {
-				pt.ModeledMax = run.seconds
-			}
-			pt.BandCells = append(pt.BandCells, plan.Bands[b].Movable)
-			pt.BandWall = append(pt.BandWall, r.Wall)
-			pt.BandWait = append(pt.BandWait, r.DeviceWait)
-			pt.Ops.Add(run.ops)
+		for _, band := range res[0].Shards {
+			pt.ModeledSum += band.Outcome.ModeledSeconds
+			pt.BandCells = append(pt.BandCells, len(band.Outcome.Layout.MovableIDs()))
+			pt.BandWall = append(pt.BandWall, band.Wall)
+			pt.BandWait = append(pt.BandWait, band.DeviceWait)
+			pt.Ops.Add(band.Outcome.Ops)
 		}
-		stitched, err := shard.Stitch(l, plan, legalized)
-		if err != nil {
-			return nil, fmt.Errorf("sharded %s: %w", spec.Name, err)
-		}
-		if len(stitched.Check(1)) > 0 {
-			pt.Legal = false
-		}
-		m := model.Measure(stitched)
-		pt.AveDis, pt.MaxDis = m.AveDis, m.MaxDis
 		if opt.Bench != nil {
 			// ModeledSum is the record's time: the serial cost of all
 			// bands, the quantity the op counts price. ModeledMax (the

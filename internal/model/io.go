@@ -41,7 +41,11 @@ func Encode(w io.Writer, l *Layout) error {
 	return bw.Flush()
 }
 
-// Decode reads a layout in flexpl format.
+// Decode reads a layout in flexpl format. Besides the syntax it enforces
+// the structural facts every engine indexes by: the die has at least one
+// site, row and row-height unit; every cell is at least 1x1; and every
+// movable cell fits the die (width <= sites, height <= rows). Each
+// rejection names the line, the cell and the rule it broke.
 func Decode(r io.Reader) (*Layout, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -83,6 +87,10 @@ func Decode(r io.Reader) (*Layout, error) {
 	}
 	if _, err := fmt.Sscanf(s, "die %d %d %d", &l.NumSitesX, &l.NumRows, &l.RowHeight); err != nil {
 		return nil, errf("bad die line %q", s)
+	}
+	if l.NumSitesX < 1 || l.NumRows < 1 || l.RowHeight < 1 {
+		return nil, errf("die %d %d %d: sites, rows and row height must each be >= 1",
+			l.NumSitesX, l.NumRows, l.RowHeight)
 	}
 	var n int
 	if s, err = next(); err != nil {
@@ -150,8 +158,16 @@ func Decode(r io.Reader) (*Layout, error) {
 				return nil, errf("bad y %q", f[8])
 			}
 		}
-		if c.W <= 0 || c.H <= 0 {
-			return nil, errf("cell %s has non-positive size %dx%d", c.Name, c.W, c.H)
+		if c.W < 1 || c.H < 1 {
+			return nil, errf("cell %s is %dx%d: width and height must each be >= 1", c.Name, c.W, c.H)
+		}
+		if !c.Fixed && c.W > l.NumSitesX {
+			return nil, errf("movable cell %s is %d sites wide: width must be <= the die's %d sites",
+				c.Name, c.W, l.NumSitesX)
+		}
+		if !c.Fixed && c.H > l.NumRows {
+			return nil, errf("movable cell %s is %d rows tall: height must be <= the die's %d rows",
+				c.Name, c.H, l.NumRows)
 		}
 		l.Cells = append(l.Cells, c)
 	}

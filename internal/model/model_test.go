@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -212,6 +213,40 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(bytes.NewReader([]byte(s))); err == nil {
 			t.Errorf("case %d: Decode accepted garbage", i)
 		}
+	}
+}
+
+// TestDecodeRejectsStructuralDefects pins the structural rules Decode
+// enforces before a layout can reach an engine: each rejection names the
+// offending cell (or the die) and the rule.
+func TestDecodeRejectsStructuralDefects(t *testing.T) {
+	for _, tc := range []struct {
+		name, in string
+		want     []string
+	}{
+		{"zero sites", "flexpl 1\ndesign x\ndie 0 2 8\ncells 0\n", []string{"die 0 2 8", "must each be >= 1"}},
+		{"zero rows", "flexpl 1\ndesign x\ndie 4 0 8\ncells 0\n", []string{"die 4 0 8", "must each be >= 1"}},
+		{"zero row height", "flexpl 1\ndesign x\ndie 4 2 0\ncells 0\n", []string{"die 4 2 0", "must each be >= 1"}},
+		{"zero width", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 0 1 any 0\n", []string{"cell c0", "width and height must each be >= 1"}},
+		{"negative height", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 1 -1 any 1\n", []string{"cell c0", "width and height must each be >= 1"}},
+		{"too wide", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 5 1 any 0\n", []string{"movable cell c0", "width must be <= the die's 4 sites"}},
+		// The layout that used to crash the analytical engine.
+		{"too tall", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 1 5 any 0\n", []string{"movable cell c0", "height must be <= the die's 2 rows"}},
+	} {
+		_, err := Decode(strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("%s: Decode accepted %q", tc.name, tc.in)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
+			}
+		}
+	}
+	// Fixed blockages may overhang the die; only movable cells must fit.
+	if _, err := Decode(strings.NewReader("flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nblk 0 0 6 3 any 1\n")); err != nil {
+		t.Fatalf("oversized fixed blockage rejected: %v", err)
 	}
 }
 

@@ -498,7 +498,7 @@ func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 			opt.OnResult(br)
 		}
 	})
-	_, st, err := batch.RunClassedOn(ctx, s.pool, e.pool, e.classes, opt.FailFast, col.observe)
+	_, st, err := batch.Run(ctx, s.pool, e.pool, e.classes, opt.FailFast, col.observe)
 	if rejected := s.admissionError(err); rejected != nil {
 		return nil, rejected
 	}
@@ -548,7 +548,7 @@ func (s *Service) Stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 // wrapper can tear its throwaway service down once the channel closes.
 func (s *Service) stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions, onDrained func()) (<-chan BatchResult, error) {
 	e := s.expand(jobs)
-	in, err := batch.StreamClassedOn(ctx, s.pool, e.pool, e.classes, opt.FailFast)
+	in, err := batch.Stream(ctx, s.pool, e.pool, e.classes, opt.FailFast)
 	if rejected := s.admissionError(err); rejected != nil {
 		return nil, rejected
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	flex "github.com/flex-eda/flex"
 )
@@ -225,5 +226,57 @@ func TestPlainOutcomeCacheServesRepeats(t *testing.T) {
 	third := submitOne(t, svc, flex.BatchJob{Layout: l, Engine: flex.EngineFLEX})
 	if !bytes.Equal(encodeLayout(t, first.Layout), encodeLayout(t, third.Layout)) {
 		t.Fatal("mutating a served result corrupted the cache")
+	}
+}
+
+// TestOutcomeOpsOnlyFromEngineRuns pins where Outcome.Ops comes from: every
+// engine run fills it, an outcome the outcome cache served carries none,
+// and a sharded job carries its counts per band, not on the stitched
+// outcome — the signal the flexbench eco driver counts re-solved bands by.
+func TestOutcomeOpsOnlyFromEngineRuns(t *testing.T) {
+	l, err := flex.GenerateCustom(300, 0.5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []flex.Engine{flex.EngineFLEX, flex.EngineMGL, flex.EngineMGLMT, flex.EngineGPU, flex.EngineAnalytical} {
+		out, err := flex.Legalize(l, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := out.Ops["failed"]; !ok || len(out.Ops) == 0 {
+			t.Fatalf("%s: engine run carries no ops: %v", e, out.Ops)
+		}
+	}
+
+	svc := flex.NewService(flex.WithWorkers(2), flex.WithOutcomeCacheBytes(32<<20))
+	defer svc.Close()
+	if first := submitOne(t, svc, flex.BatchJob{Layout: l, Engine: flex.EngineFLEX}); first.Ops == nil {
+		t.Fatal("first (engine) run on a caching service lost its ops")
+	}
+	if repeat := submitOne(t, svc, flex.BatchJob{Layout: l, Engine: flex.EngineFLEX}); repeat.Ops != nil {
+		t.Fatalf("cache-served repeat carries ops: %v", repeat.Ops)
+	}
+
+	sum, err := svc.Submit(context.Background(), []flex.BatchJob{{Layout: l, Engine: flex.EngineFLEX, Shards: 3}}, flex.SubmitOptions{})
+	if err != nil || sum.Results[0].Err != nil {
+		t.Fatalf("sharded job: %v / %v", err, sum.Results[0].Err)
+	}
+	r := sum.Results[0]
+	if r.Outcome.Ops != nil {
+		t.Fatalf("stitched outcome carries ops: %v", r.Outcome.Ops)
+	}
+	var reconfigs int
+	var wait time.Duration
+	for _, band := range r.Shards {
+		if band.Outcome.Ops == nil {
+			t.Fatalf("band %d engine run carries no ops", band.Index)
+		}
+		reconfigs += band.DeviceReconfigs
+		wait += band.SchedWait
+	}
+	// The job's queue and board counters sum its bands'.
+	if reconfigs < 1 || r.DeviceReconfigs != reconfigs || r.SchedWait != wait {
+		t.Fatalf("job reconfigs %d / sched wait %v, bands sum to %d / %v",
+			r.DeviceReconfigs, r.SchedWait, reconfigs, wait)
 	}
 }
