@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -91,5 +93,40 @@ func TestReadLayoutFileRejectsTallCell(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "c0") || !strings.Contains(err.Error(), "height must be <=") {
 		t.Fatalf("error %q does not name the cell and the rule", err)
+	}
+}
+
+// TestMain lets a test re-run this binary as flexlg itself: with
+// FLEXLG_TEST_MAIN set, the process runs main on its remaining arguments
+// instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("FLEXLG_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestInRejectsFixedCellOutsideDie runs flexlg -in on layouts whose fixed
+// cell lies outside the die. Every engine used to legalize them in full and
+// then fail the out-of-die check; flexlg must instead exit 1 at decode with
+// an error naming the cell and the rule.
+func TestInRejectsFixedCellOutsideDie(t *testing.T) {
+	for _, cell := range []string{"f0 30 9 4 2 any 1", "f0 -3 -1 6 3 any 1"} {
+		path := filepath.Join(t.TempDir(), "bad.flexpl")
+		bad := "flexpl 1\ndesign x\ndie 20 4 8\ncells 1\n" + cell + "\n"
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-in", path)
+		cmd.Env = append(os.Environ(), "FLEXLG_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("%s: flexlg -in returned %v, want exit status 1; output:\n%s", cell, err, out)
+		}
+		if !strings.Contains(string(out), "fixed cell f0") || !strings.Contains(string(out), "wholly inside the die") {
+			t.Fatalf("%s: output does not name the cell and the rule:\n%s", cell, out)
+		}
 	}
 }

@@ -200,6 +200,39 @@ func TestLegalizeRejectsStructurallyBadLayout(t *testing.T) {
 	}
 }
 
+// TestLegalizeRejectsFixedCellOutsideDie pins the edge check for fixed
+// cells outside the die: every engine used to legalize such a layout in
+// full and then report an out-of-die violation it could never fix. Both
+// reproductions must get a 400 naming the cell and the rule, and the
+// server must keep answering.
+func TestLegalizeRejectsFixedCellOutsideDie(t *testing.T) {
+	ts := newTestServer(t)
+	for _, cell := range []string{"f0 30 9 4 2 any 1", "f0 -3 -1 6 3 any 1"} {
+		bad := "flexpl 1\ndesign x\ndie 20 4 8\ncells 1\n" + cell + "\n"
+		resp, err := http.Post(ts.URL+"/v1/legalize", "text/plain", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d (%v), want a 400 error body", cell, resp.StatusCode, err)
+		}
+		if !strings.Contains(eb.Error, "fixed cell f0") || !strings.Contains(eb.Error, "wholly inside the die") {
+			t.Fatalf("%s: 400 error %q does not name the cell and the rule", cell, eb.Error)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatalf("server stopped answering after the bad layouts: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d after the bad layouts", resp.StatusCode)
+	}
+}
+
 func TestLegalizeIncludeLayoutRoundTrips(t *testing.T) {
 	ts := newTestServer(t)
 	req := `{"jobs":[{"design":"fft_a_md2","scale":0.008}],"includeLayout":true}`

@@ -22,11 +22,6 @@
 // summation pipeline is agnostic to the decomposition.
 package curve
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Breakpoint is one hinge of a piecewise-linear displacement curve.
 type Breakpoint struct {
 	X    int // target-cell position at which the slope changes
@@ -80,8 +75,9 @@ func BruteForce(bps []Breakpoint, x int) int {
 	return v
 }
 
-// merged is one merged breakpoint: accumulated slopes of all hinges at the
-// same x.
+// merged is a hinge's position and slopes without its base; after
+// sortAndMerge, one per distinct x with the slopes of all hinges there
+// summed.
 type merged struct {
 	x      int
 	sl, sr int
@@ -92,45 +88,145 @@ type merged struct {
 // insertion point; a per-call Evaluator keeps that loop allocation-free.
 // The zero value is ready to use. Not safe for concurrent use.
 type Evaluator struct {
-	xs   []Breakpoint // with-bounds sort scratch
-	ms   []merged
-	vR   []int // streamed forward partials
-	sR   []int // original pipeline: cumulative right slopes
-	sL   []int // original pipeline: cumulative left slopes
-	vals []int // original pipeline: materialized values
+	xs   []merged // with-bounds sort and merge scratch
+	tmp  []merged // merge-sort ping-pong buffer
+	runs []int    // merge-sort run starts
+	vR   []int    // streamed forward partials
+	sR   []int    // original pipeline: cumulative right slopes
+	sL   []int    // original pipeline: cumulative left slopes
+	vals []int    // original pipeline: materialized values
 }
 
 // sortAndMerge sorts the hinges by position (with zero-slope sentinels at
 // lo and hi so the constrained minimum is attained at a breakpoint) and
-// merges equal positions into e.ms. Both pipelines share it; Original
-// charges the passes separately on top. The sort is unstable, which is
+// merges equal positions. Both pipelines share it; Original charges the
+// passes separately on top. The bases are summed separately (SumBase), so
+// only position and slopes are sorted. The sort is unstable, which is
 // output-identical here: equal-position hinges merge by commutative slope
-// addition, so their relative order never reaches the traversals.
+// addition, so their relative order never reaches the traversals. The
+// returned slice is scratch memory, valid until the next call.
 func (e *Evaluator) sortAndMerge(bps []Breakpoint, lo, hi int, st *Stats) []merged {
-	e.xs = append(e.xs[:0], bps...)
-	e.xs = append(e.xs, Breakpoint{X: lo}, Breakpoint{X: hi})
-	st.RawBps += len(e.xs)
-	slices.SortFunc(e.xs, func(a, b Breakpoint) int { return cmp.Compare(a.X, b.X) })
-	if n := len(e.xs); n > 1 {
-		// n log n comparison units, the cost charged to "sort bp".
+	xs := e.xs[:0]
+	for _, b := range bps {
+		xs = append(xs, merged{x: b.X, sl: b.SL, sr: b.SR})
+	}
+	xs = append(xs, merged{x: lo}, merged{x: hi})
+	e.xs = xs
+	st.RawBps += len(xs)
+	if n := len(xs); n > 1 {
+		// n log n comparison units, the cost charged to "sort bp" whatever
+		// sort implementation runs.
 		logn := 0
 		for v := n; v > 1; v >>= 1 {
 			logn++
 		}
 		st.SortOps += n * logn
 	}
-	out := e.ms[:0]
-	for _, b := range e.xs {
-		if len(out) > 0 && out[len(out)-1].x == b.X {
-			out[len(out)-1].sl += b.SL
-			out[len(out)-1].sr += b.SR
+	// Merge equal positions in place: the write index never passes the
+	// read index.
+	sorted := e.sortByX(xs)
+	out := sorted[:1]
+	for _, b := range sorted[1:] {
+		if last := &out[len(out)-1]; last.x == b.x {
+			last.sl += b.sl
+			last.sr += b.sr
 		} else {
-			out = append(out, merged{x: b.X, sl: b.SL, sr: b.SR})
+			out = append(out, b)
 		}
 	}
-	e.ms = out
 	st.MergedBps += len(out)
 	return out
+}
+
+// minRun is the shortest run sortByX merges; shorter natural runs are
+// extended to it by insertion.
+const minRun = 16
+
+// sortByX sorts xs ascending by x and returns the sorted slice, which is
+// either xs or e.tmp. It is an allocation-free natural-run merge sort
+// tuned for FOP's hinge lists, which arrive as a few ascending runs:
+// ascending runs are taken as found, strictly descending runs are reversed
+// in place, runs shorter than minRun are extended by insertion, and
+// adjacent runs are then merged pairwise, ping-ponging between xs and
+// e.tmp, until one remains. Every run but the last holds at least minRun
+// elements and each merge round halves the run count, so the worst case
+// stays O(n log n).
+func (e *Evaluator) sortByX(xs []merged) []merged {
+	n := len(xs)
+	runs := e.runs[:0]
+	for i := 0; i < n; {
+		j := i + 1
+		if j < n && xs[j].x < xs[i].x {
+			for j+1 < n && xs[j+1].x < xs[j].x {
+				j++
+			}
+			j++
+			for a, b := i, j-1; a < b; a, b = a+1, b-1 {
+				xs[a], xs[b] = xs[b], xs[a]
+			}
+		} else {
+			for j < n && xs[j].x >= xs[j-1].x {
+				j++
+			}
+		}
+		for end := min(i+minRun, n); j < end; j++ {
+			v, k := xs[j], j
+			for ; k > i && v.x < xs[k-1].x; k-- {
+				xs[k] = xs[k-1]
+			}
+			xs[k] = v
+		}
+		runs = append(runs, i)
+		i = j
+	}
+	runs = append(runs, n)
+	src := xs
+	if len(runs) > 2 {
+		if cap(e.tmp) < n {
+			e.tmp = make([]merged, n)
+		}
+		dst := e.tmp[:n]
+		for len(runs) > 2 {
+			// Merge runs pairwise into dst; an odd last run is copied.
+			k := 0
+			for r := 0; r+1 < len(runs); r += 2 {
+				lo, mid := runs[r], runs[r+1]
+				hi := mid
+				if r+2 < len(runs) {
+					hi = runs[r+2]
+				}
+				mergeByX(dst[lo:hi], src[lo:mid], src[mid:hi])
+				runs[k] = lo
+				k++
+			}
+			runs[k] = n
+			runs = runs[:k+1]
+			src, dst = dst, src
+		}
+	}
+	e.runs = runs
+	return src
+}
+
+// mergeByX merges the sorted runs a and b into dst (len(a)+len(b)).
+func mergeByX(dst, a, b []merged) {
+	if len(a) == 0 || len(b) == 0 || a[len(a)-1].x <= b[0].x {
+		copy(dst[copy(dst, a):], b) // already in order
+		return
+	}
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if b[j].x < a[i].x {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // grow resizes dst to n reusing capacity.
@@ -152,8 +248,12 @@ func (e *Evaluator) Original(bps []Breakpoint, lo, hi int, st *Stats) Result {
 	if st == nil {
 		st = &Stats{}
 	}
-	base := SumBase(bps)
-	ms := e.sortAndMerge(bps, lo, hi, st)
+	return e.original(SumBase(bps), e.sortAndMerge(bps, lo, hi, st), lo, hi, st)
+}
+
+// original is Original's four passes after sort bp and merge bp, over the
+// merged breakpoints ms.
+func (e *Evaluator) original(base int, ms []merged, lo, hi int, st *Stats) Result {
 	n := len(ms)
 
 	// sum slopesR: forward traversal, cumulative right slopes.
@@ -216,8 +316,12 @@ func (e *Evaluator) Streamed(bps []Breakpoint, lo, hi int, st *Stats) Result {
 	if st == nil {
 		st = &Stats{}
 	}
-	base := SumBase(bps)
-	ms := e.sortAndMerge(bps, lo, hi, st)
+	return e.streamed(SumBase(bps), e.sortAndMerge(bps, lo, hi, st), lo, hi, st)
+}
+
+// streamed is Streamed's fwdtraverse and bwdtraverse over the merged
+// breakpoints ms.
+func (e *Evaluator) streamed(base int, ms []merged, lo, hi int, st *Stats) Result {
 	n := len(ms)
 
 	// fwdtraverse: vR_i = Σ_{j≤i} SR_j·(x_i − x_j), computed incrementally.

@@ -1,7 +1,9 @@
 package curve
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -87,5 +89,90 @@ func TestEvalAdditivity(t *testing.T) {
 		if BruteForce(all, x) != BruteForce(a, x)+BruteForce(b, x) {
 			t.Fatalf("iter %d: additivity broken", iter)
 		}
+	}
+}
+
+// refSortAndMerge is the comparison-sort sortAndMerge that sortByX
+// replaced: slices.SortFunc, then the equal-position merge.
+func refSortAndMerge(bps []Breakpoint, lo, hi int, st *Stats) []merged {
+	xs := append(append([]Breakpoint{}, bps...), Breakpoint{X: lo}, Breakpoint{X: hi})
+	st.RawBps += len(xs)
+	slices.SortFunc(xs, func(a, b Breakpoint) int { return cmp.Compare(a.X, b.X) })
+	if n := len(xs); n > 1 {
+		logn := 0
+		for v := n; v > 1; v >>= 1 {
+			logn++
+		}
+		st.SortOps += n * logn
+	}
+	var out []merged
+	for _, b := range xs {
+		if len(out) > 0 && out[len(out)-1].x == b.X {
+			out[len(out)-1].sl += b.SL
+			out[len(out)-1].sr += b.SR
+		} else {
+			out = append(out, merged{x: b.X, sl: b.SL, sr: b.SR})
+		}
+	}
+	st.MergedBps += len(out)
+	return out
+}
+
+// TestSortMatchesComparisonSort: on the input shapes that stress a
+// natural-run merge sort, both pipelines return the Result and Stats of
+// the same pipeline fed by slices.SortFunc. One Evaluator serves every
+// case, so its scratch is reused across sizes as in the FOP loop.
+func TestSortMatchesComparisonSort(t *testing.T) {
+	r := rand.New(rand.NewSource(1313))
+	shapes := map[string]func(i, n int) int{
+		"sorted":   func(i, n int) int { return i },
+		"reversed": func(i, n int) int { return n - i },
+		"equal":    func(i, n int) int { return 7 },
+		"sawtooth": func(i, n int) int { return i % 5 },
+		"runs":     func(i, n int) int { return (i%37)*3 - i/37 },
+		"downruns": func(i, n int) int { return i/37 - (i%37)*3 },
+		"random":   func(i, n int) int { return r.Intn(2*n+1) - n },
+	}
+	names := make([]string, 0, len(shapes))
+	for name := range shapes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var e Evaluator
+	for _, n := range []int{0, 1, 2, 3, 15, 16, 17, 31, 33, 100, 257, 1000, 4096} {
+		for _, name := range names {
+			bps := make([]Breakpoint, n)
+			for i := range bps {
+				bps[i] = Breakpoint{X: shapes[name](i, n), SL: r.Intn(5) - 2, SR: r.Intn(5) - 2, Base: r.Intn(50)}
+			}
+			lo, hi := -n/2, n/2+3
+			for _, pipe := range []struct {
+				name string
+				run  func([]Breakpoint, int, int, *Stats) Result
+				tail func(int, []merged, int, int, *Stats) Result
+			}{
+				{"streamed", e.Streamed, e.streamed},
+				{"original", e.Original, e.original},
+			} {
+				var got, want Stats
+				res := pipe.run(bps, lo, hi, &got)
+				ref := pipe.tail(SumBase(bps), refSortAndMerge(bps, lo, hi, &want), lo, hi, &want)
+				if res != ref || got != want {
+					t.Fatalf("%s n=%d %s: %+v %+v, comparison sort %+v %+v", name, n, pipe.name, res, got, ref, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluatorAllocationFree: a warmed Evaluator sorts, merges and
+// traverses without allocating.
+func TestEvaluatorAllocationFree(t *testing.T) {
+	bps, lo, hi := benchHinges(256)
+	var e Evaluator
+	var st Stats
+	e.Streamed(bps, lo, hi, &st)
+	if n := testing.AllocsPerRun(20, func() { e.Streamed(bps, lo, hi, &st) }); n != 0 {
+		t.Fatalf("Streamed allocates %.1f times per call, want 0", n)
 	}
 }

@@ -15,6 +15,8 @@
 package fop
 
 import (
+	"sync"
+
 	"github.com/flex-eda/flex/internal/curve"
 	"github.com/flex-eda/flex/internal/geom"
 	"github.com/flex-eda/flex/internal/region"
@@ -107,29 +109,76 @@ func addShift(dst, src *shift.Stats) {
 	dst.SortOps += src.SortOps
 }
 
-// chainEntry records one cell swept into a shift chain and its offset.
+// chainEntry records one cell swept into a shift chain (by its position in
+// the cell table) and its offset.
 type chainEntry struct {
-	ci int
-	o  int
+	k int
+	o int
+}
+
+// tableCell is one entry of the per-Best cell table: a region cell's
+// sweep attributes, precomputed once per call so that the two chain sweeps
+// of every insertion point read one dense x-ordered array instead of
+// re-deriving row and segment bounds from the region.
+type tableCell struct {
+	x, gx  int
+	c2     int // doubled center 2X+W, compared with the slot boundary
+	y0, y1 int // absolute row span [Y, Y+H)
+	s0, s1 int // segment indices the cell covers, clamped to the window (s0 ≤ s1)
+	w, h   int
+	hb     int // min(H, 4), the ChainVisitsByH bucket
+	segLo  int // max segment Lo over [s0, s1): a left push's floor
+	segHi  int // min segment Hi over [s0, s1): a right push's ceiling
+}
+
+// maxOffset returns the largest chain offset over the cell's rows, or
+// negInf when the chain reaches none of them.
+func (c *tableCell) maxOffset(rowOff []int) int {
+	if c.s1-c.s0 == 1 { // single-row fast path
+		return rowOff[c.s0]
+	}
+	o := negInf
+	for _, r := range rowOff[c.s0:c.s1] {
+		o = max(o, r)
+	}
+	return o
+}
+
+// visitCount tallies chain-sweep visits the way Stats charges them: cells,
+// their rows (subcell visits), and cells by height bucket.
+type visitCount struct {
+	cells, rows int
+	byH         [5]int
+}
+
+func (v *visitCount) add(c *tableCell) {
+	v.cells++
+	v.rows += c.h
+	v.byH[c.hb]++
 }
 
 // scratch holds the per-Best-call working memory so the triple loop runs
-// allocation-free: every evalPoint reuses the same chain lists, row-offset
-// array, hinge buffer, and curve evaluator. One scratch is private to one
-// Best invocation, so concurrent Best calls (the batched engine's frozen
-// evaluations) never share state.
+// allocation-free: every evalPoint reuses the same cell table, chain lists,
+// row-offset array, hinge buffer, and curve evaluator. Scratches are pooled
+// (scratchPool): a Best call takes one for its whole duration and returns
+// it on exit, so concurrent Best calls (the batched engine's frozen
+// evaluations) never share one.
 type scratch struct {
 	order   []int
+	cells   []tableCell
+	all     visitCount // every table cell once
 	rowOff  []int
 	left    []chainEntry
 	right   []chainEntry
-	inLeft  []bool // cell index -> claimed by the left chain
+	inLeft  []bool // table position -> claimed by the left chain
 	bps     []curve.Breakpoint
 	eval    curve.Evaluator
 	centers []int
 	bounds  []int
 	saved   []int
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Best evaluates every insertion point in the region and returns the best
 // candidate. The region's cell positions are left untouched.
@@ -139,21 +188,25 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 	}
 	best := Candidate{Feasible: false}
 	win := reg.Window
-	var sc scratch
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
 	// Ahead sort: one x-sort of the region's cells shared by every
 	// insertion point, mirroring the hardware's single per-region sorter.
-	order := sc.xOrder(reg)
-	st.Shift.SortedCells += len(order)
-	if n := len(order); n > 1 {
+	n := sc.buildTable(reg)
+	st.Shift.SortedCells += n
+	if n > 1 {
 		logn := 0
 		for v := n; v > 1; v >>= 1 {
 			logn++
 		}
 		st.Shift.SortOps += n * logn
 	}
-	sc.rowOff = make([]int, len(reg.Segments))
-	sc.inLeft = make([]bool, len(reg.Cells))
+	sc.rowOff = resize(sc.rowOff, len(reg.Segments))
+	// evalPoint leaves inLeft all false; clearing anyway keeps a scratch
+	// returned to the pool by a panicking call from poisoning the next.
+	sc.inLeft = resize(sc.inLeft, n)
+	clear(sc.inLeft)
 
 	for y := win.Y; y+t.H <= win.Y+win.H; y++ {
 		if t.ParityOK != nil && !t.ParityOK(y) {
@@ -179,13 +232,52 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 
 		for _, b2 := range sc.slotBoundaries(reg, y, t.H) {
 			st.InsertionPoints++
-			c := sc.evalPoint(reg, order, t, y, b2, lo0, hi0, vbase, opt, st)
+			c := sc.evalPoint(reg, t, y, b2, lo0, hi0, vbase, opt, st)
 			if c.Better(best) {
 				best = c
 			}
 		}
 	}
 	return best
+}
+
+// buildTable fills sc.cells with the region's cells in ascending current
+// x and returns their number.
+func (sc *scratch) buildTable(reg *region.Region) int {
+	order := sc.order[:0]
+	for i := range reg.Cells {
+		order = append(order, i)
+	}
+	// Insertion sort: region cell counts are small and mostly pre-sorted.
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && reg.Cells[order[j]].X < reg.Cells[order[j-1]].X; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	sc.order = order
+
+	nSeg := len(reg.Segments)
+	tab := sc.cells[:0]
+	sc.all = visitCount{}
+	for _, ci := range order {
+		c := &reg.Cells[ci]
+		s0 := min(max(c.Y-reg.Window.Y, 0), nSeg)
+		e := tableCell{
+			x: c.X, gx: c.GX, c2: 2*c.X + c.W,
+			y0: c.Y, y1: c.Y + c.H,
+			s0: s0, s1: min(max(c.Y+c.H-reg.Window.Y, s0), nSeg),
+			w: c.W, h: c.H, hb: min(c.H, 4),
+			segLo: negInf, segHi: 1 << 50,
+		}
+		for si := e.s0; si < e.s1; si++ {
+			e.segLo = max(e.segLo, reg.Segments[si].Lo)
+			e.segHi = min(e.segHi, reg.Segments[si].Hi)
+		}
+		tab = append(tab, e)
+		sc.all.add(&e)
+	}
+	sc.cells = tab
+	return len(tab)
 }
 
 // slotBoundaries returns the doubled-x boundary values that induce every
@@ -226,59 +318,48 @@ func (sc *scratch) slotBoundaries(reg *region.Region, y, h int) []int {
 
 // evalPoint scores one insertion point: chain offsets (cell shifting in
 // sort-ahead form), hinge emission, and curve evaluation.
-func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, lo0, hi0, vbase int, opt Options, st *Stats) Candidate {
+func (sc *scratch) evalPoint(reg *region.Region, t Target, y, b2, lo0, hi0, vbase int, opt Options, st *Stats) Candidate {
 	st.Shift.Passes += 2 // one outward sweep per phase
 
-	nSeg := len(reg.Segments)
+	tab := sc.cells
 	rowOff := sc.rowOff
+	inLeft := sc.inLeft
+	yEnd := y + t.H
+	// The target's rows as segment indices (clamped like the cells').
+	ts0, ts1 := max(y-reg.Window.Y, 0), min(yEnd-reg.Window.Y, len(rowOff))
+	// Each sweep visits every cell it does not skip; tallying the (fewer)
+	// skipped cells and subtracting from two full passes gives the same
+	// visit statistics.
+	var skipped visitCount
 
 	// Left sweep: descending x over left/none cells. A cell is in the
-	// target's rows when c.Y < y+t.H && c.Y+c.H > y; among those, the
-	// boundary b2 splits left (2x+w ≤ b2) from right.
+	// target's rows when y0 < y+t.H && y1 > y; among those, the boundary b2
+	// splits left (2x+w ≤ b2) from right.
 	for i := range rowOff {
 		rowOff[i] = negInf
 	}
-	for row := y; row < y+t.H; row++ {
-		if si := row - reg.Window.Y; si >= 0 && si < nSeg {
-			rowOff[si] = 0
-		}
+	for si := ts0; si < ts1; si++ {
+		rowOff[si] = 0
 	}
 	lo, hi := lo0, hi0
 	left := sc.left[:0]
-	for k := len(order) - 1; k >= 0; k-- {
-		ci := order[k]
-		c := &reg.Cells[ci]
-		if c.Y < y+t.H && c.Y+c.H > y && 2*c.X+c.W > b2 {
-			continue // right-partition cell
+	for k := len(tab) - 1; k >= 0; k-- {
+		c := &tab[k]
+		if c.c2 > b2 && c.y0 < yEnd && c.y1 > y {
+			skipped.add(c) // right-partition cell
+			continue
 		}
-		o := negInf
-		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
-			if si >= 0 && si < nSeg && rowOff[si] > o {
-				o = rowOff[si]
-			}
-		}
-		st.Shift.SubcellVisits += c.H
-		st.ChainCells++
-		st.ChainVisitsByH[minInt(c.H, 4)]++
+		o := c.maxOffset(rowOff)
 		if o == negInf {
 			continue
 		}
-		o += c.W
-		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
-			if si >= 0 && si < nSeg {
-				if o > rowOff[si] {
-					rowOff[si] = o
-				}
-				seg := &reg.Segments[si]
-				if v := seg.Lo + o; v > lo {
-					lo = v // pushed cell must stay inside its segment
-				}
-			}
+		o += c.w
+		for si := c.s0; si < c.s1; si++ {
+			rowOff[si] = max(rowOff[si], o)
 		}
-		left = append(left, chainEntry{ci, o})
-		sc.inLeft[ci] = true
+		lo = max(lo, c.segLo+o) // pushed cell must stay inside its segments
+		left = append(left, chainEntry{k, o})
+		inLeft[k] = true
 	}
 	sc.left = left
 
@@ -286,50 +367,36 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 	for i := range rowOff {
 		rowOff[i] = negInf
 	}
-	for row := y; row < y+t.H; row++ {
-		if si := row - reg.Window.Y; si >= 0 && si < nSeg {
-			rowOff[si] = t.W
-		}
+	for si := ts0; si < ts1; si++ {
+		rowOff[si] = t.W
 	}
 	right := sc.right[:0]
-	for k := 0; k < len(order); k++ {
-		ci := order[k]
-		c := &reg.Cells[ci]
-		if (c.Y < y+t.H && c.Y+c.H > y && 2*c.X+c.W <= b2) || sc.inLeft[ci] {
+	for k := range tab {
+		c := &tab[k]
+		if inLeft[k] || (c.c2 <= b2 && c.y0 < yEnd && c.y1 > y) {
 			// Cells already claimed by the left chain cannot be squeezed
 			// from both sides; the left chain takes precedence.
+			skipped.add(c)
 			continue
 		}
-		o := negInf
-		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
-			if si >= 0 && si < nSeg && rowOff[si] > o {
-				o = rowOff[si]
-			}
-		}
-		st.Shift.SubcellVisits += c.H
-		st.ChainCells++
-		st.ChainVisitsByH[minInt(c.H, 4)]++
+		o := c.maxOffset(rowOff)
 		if o == negInf {
 			continue
 		}
-		for row := c.Y; row < c.Y+c.H; row++ {
-			si := row - reg.Window.Y
-			if si >= 0 && si < nSeg {
-				if v := o + c.W; v > rowOff[si] {
-					rowOff[si] = v
-				}
-				seg := &reg.Segments[si]
-				if v := seg.Hi - c.W - o; v < hi {
-					hi = v
-				}
-			}
+		for si := c.s0; si < c.s1; si++ {
+			rowOff[si] = max(rowOff[si], o+c.w)
 		}
-		right = append(right, chainEntry{ci, o})
+		hi = min(hi, c.segHi-c.w-o)
+		right = append(right, chainEntry{k, o})
 	}
 	sc.right = right
 	for _, e := range left {
-		sc.inLeft[e.ci] = false
+		inLeft[e.k] = false
+	}
+	st.ChainCells += 2*sc.all.cells - skipped.cells
+	st.Shift.SubcellVisits += 2*sc.all.rows - skipped.rows
+	for i, v := range skipped.byH {
+		st.ChainVisitsByH[i] += 2*sc.all.byH[i] - v
 	}
 
 	if lo > hi {
@@ -343,17 +410,20 @@ func (sc *scratch) evalPoint(reg *region.Region, order []int, t Target, y, b2, l
 	}
 
 	// Hinge emission: target V plus delta hinges for every chained cell.
+	// The left chain is walked backwards so both chains emit in ascending
+	// threshold order, the near-sorted runs the curve sorter merges cheaply.
 	bps := append(sc.bps[:0], curve.VHinge(t.GX, vbase))
-	for _, e := range left {
-		c := &reg.Cells[e.ci]
+	for i := len(left) - 1; i >= 0; i-- {
+		e := left[i]
+		c := &tab[e.k]
 		n := len(bps)
-		bps = curve.AppendHingesForPushLeft(bps, c.X, c.GX, c.X+e.o)
+		bps = curve.AppendHingesForPushLeft(bps, c.x, c.gx, c.x+e.o)
 		bps[n].Base = 0 // delta relative to the cell's current displacement
 	}
 	for _, e := range right {
-		c := &reg.Cells[e.ci]
+		c := &tab[e.k]
 		n := len(bps)
-		bps = curve.AppendHingesForPush(bps, c.X, c.GX, c.X-e.o)
+		bps = curve.AppendHingesForPush(bps, c.x, c.gx, c.x-e.o)
 		bps[n].Base = 0
 	}
 	sc.bps = bps
@@ -387,27 +457,12 @@ func (sc *scratch) measureOriginal(reg *region.Region, t Target, y, b2, lo, hi i
 	reg.SortSegmentCells()
 }
 
-// xOrder returns region cell indices sorted ascending by current x.
-func (sc *scratch) xOrder(reg *region.Region) []int {
-	order := sc.order[:0]
-	for i := range reg.Cells {
-		order = append(order, i)
+// resize returns s with length n, reusing its capacity.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	// Insertion sort: region cell counts are small and mostly pre-sorted.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && reg.Cells[order[j]].X < reg.Cells[order[j-1]].X; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	sc.order = order
-	return order
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return s[:n]
 }
 
 func sortInts(xs []int) {

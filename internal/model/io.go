@@ -43,9 +43,10 @@ func Encode(w io.Writer, l *Layout) error {
 
 // Decode reads a layout in flexpl format. Besides the syntax it enforces
 // the structural facts every engine indexes by: the die has at least one
-// site, row and row-height unit; every cell is at least 1x1; and every
-// movable cell fits the die (width <= sites, height <= rows). Each
-// rejection names the line, the cell and the rule it broke.
+// site, row and row-height unit; every cell is at least 1x1; every
+// movable cell fits the die (width <= sites, height <= rows); and every
+// fixed cell lies wholly inside the die, where no engine can move it from.
+// Each rejection names the line, the cell and the rule it broke.
 func Decode(r io.Reader) (*Layout, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -168,6 +169,10 @@ func Decode(r io.Reader) (*Layout, error) {
 		if !c.Fixed && c.H > l.NumRows {
 			return nil, errf("movable cell %s is %d rows tall: height must be <= the die's %d rows",
 				c.Name, c.H, l.NumRows)
+		}
+		if c.Fixed && (c.X < 0 || c.Y < 0 || c.X+c.W > l.NumSitesX || c.Y+c.H > l.NumRows) {
+			return nil, errf("fixed cell %s spans sites [%d,%d) x rows [%d,%d): it must lie wholly inside the die's %d sites x %d rows",
+				c.Name, c.X, c.X+c.W, c.Y, c.Y+c.H, l.NumSitesX, l.NumRows)
 		}
 		l.Cells = append(l.Cells, c)
 	}

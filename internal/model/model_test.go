@@ -232,6 +232,12 @@ func TestDecodeRejectsStructuralDefects(t *testing.T) {
 		{"too wide", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 5 1 any 0\n", []string{"movable cell c0", "width must be <= the die's 4 sites"}},
 		// The layout that used to crash the analytical engine.
 		{"too tall", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nc0 0 0 1 5 any 0\n", []string{"movable cell c0", "height must be <= the die's 2 rows"}},
+		// Fixed cells outside the die used to be legalized around in full
+		// and then fail the out-of-die check every time.
+		{"fixed past right and top", "flexpl 1\ndesign x\ndie 20 4 8\ncells 1\nf0 30 9 4 2 any 1\n", []string{"fixed cell f0", "sites [30,34) x rows [9,11)", "wholly inside the die's 20 sites x 4 rows"}},
+		{"fixed at negative origin", "flexpl 1\ndesign x\ndie 20 4 8\ncells 1\nf0 -3 -1 6 3 any 1\n", []string{"fixed cell f0", "sites [-3,3) x rows [-1,2)", "wholly inside the die"}},
+		{"fixed overhanging", "flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nblk 0 0 6 3 any 1\n", []string{"fixed cell blk", "wholly inside the die"}},
+		{"fixed placed outside", "flexpl 1\ndesign x\ndie 20 4 8\ncells 1\nf0 0 0 4 2 any 1 17 0\n", []string{"fixed cell f0", "sites [17,21)"}},
 	} {
 		_, err := Decode(strings.NewReader(tc.in))
 		if err == nil {
@@ -244,9 +250,10 @@ func TestDecodeRejectsStructuralDefects(t *testing.T) {
 			}
 		}
 	}
-	// Fixed blockages may overhang the die; only movable cells must fit.
-	if _, err := Decode(strings.NewReader("flexpl 1\ndesign x\ndie 4 2 8\ncells 1\nblk 0 0 6 3 any 1\n")); err != nil {
-		t.Fatalf("oversized fixed blockage rejected: %v", err)
+	// Fixed cells inside the die are accepted: one as tall as the die, one
+	// whose current position (not its global one) is what must fit.
+	if _, err := Decode(strings.NewReader("flexpl 1\ndesign x\ndie 8 2 8\ncells 2\nblk 0 0 4 2 any 1\nf1 9 9 1 1 any 1 7 1\n")); err != nil {
+		t.Fatalf("in-die fixed cells rejected: %v", err)
 	}
 }
 

@@ -144,13 +144,30 @@ func (s *SlidingWindow) Remaining() int { return len(s.queue) }
 // DensityEstimator returns a localRegion-density estimate function backed
 // by the spatial index: occupied area of indexed cells in a window around
 // the cell's global position over the window area.
+//
+// Estimates are memoized per cell. A cell's window depends only on its
+// immutable size and global position, so its density can change only when
+// a cell enters or leaves the index bins that window covers; the memo is
+// keyed by idx.Generation over the window and recomputed when that moves.
+// This is exact as long as indexed cells move only through
+// Index.Update/Add/Remove, as in every legalizer flow.
 func DensityEstimator(l *model.Layout, idx *region.Index, winW, winH int) func(id int) float64 {
 	var buf []int // reused across estimates; estimator calls are serial
+	type memo struct {
+		gen  uint64
+		dens float64
+		ok   bool
+	}
+	memos := make([]memo, len(l.Cells))
 	return func(id int) float64 {
 		c := &l.Cells[id]
 		win := geom.NewRect(c.GX+c.W/2-winW/2, c.GY+c.H/2-winH/2, winW, winH).Intersect(l.Die())
 		if win.Empty() {
 			return 1
+		}
+		gen := idx.Generation(win)
+		if m := &memos[id]; m.ok && m.gen == gen {
+			return m.dens
 		}
 		used := c.Area()
 		buf = idx.Query(win, buf[:0])
@@ -160,6 +177,8 @@ func DensityEstimator(l *model.Layout, idx *region.Index, winW, winH int) func(i
 			}
 			used += l.Cells[other].Rect().Intersect(win).Area()
 		}
-		return float64(used) / float64(win.Area())
+		d := float64(used) / float64(win.Area())
+		memos[id] = memo{gen: gen, dens: d, ok: true}
+		return d
 	}
 }

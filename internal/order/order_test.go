@@ -1,6 +1,7 @@
 package order
 
 import (
+	"math"
 	"testing"
 
 	"github.com/flex-eda/flex/internal/gen"
@@ -128,4 +129,69 @@ func TestDensityEstimator(t *testing.T) {
 			t.Fatalf("density estimate %v out of range for cell %d", d, id)
 		}
 	}
+}
+
+// TestDensityMemoExact drives an index through every kind of change the
+// legalizer makes — adding a placed cell, moving an indexed cell within
+// its bins and across bins, removing one — and after each step requires
+// the memoized estimator to return, for every cell, the bit-identical
+// float64 a fresh (empty-memo) estimator computes. Each step must also
+// change some estimate, so a stale memo cannot pass unnoticed.
+func TestDensityMemoExact(t *testing.T) {
+	l := layout(t)
+	idx := region.NewIndex(l, 32, 4, func(i int) bool { return l.Cells[i].Fixed })
+	est := DensityEstimator(l, idx, 96, 12)
+	prev := make([]float64, len(l.Cells))
+	check := func(step string) {
+		t.Helper()
+		fresh := DensityEstimator(l, idx, 96, 12)
+		changed := false
+		for id := range l.Cells {
+			got, want := est(id), fresh(id)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: cell %d: memoized %v, fresh %v", step, id, got, want)
+			}
+			changed = changed || got != prev[id]
+			prev[id] = got
+		}
+		if !changed {
+			t.Fatalf("%s: no estimate changed", step)
+		}
+	}
+	check("fixed cells only")
+
+	movable := l.MovableIDs()
+	for _, id := range movable[:len(movable)/2] {
+		idx.Add(id)
+	}
+	check("add placed cells")
+
+	// A one-site move that keeps the cell inside the same bins.
+	moved := false
+	for _, id := range movable[:len(movable)/2] {
+		c := &l.Cells[id]
+		if c.X%32 > 0 && (c.X+c.W-1)%32 > 0 {
+			c.X--
+			idx.Update(id)
+			moved = true
+			break
+		}
+	}
+	if !moved {
+		t.Fatal("no cell can move within its bins")
+	}
+	check("move within bins")
+
+	for _, id := range movable[len(movable)/2-5 : len(movable)/2] {
+		c := &l.Cells[id]
+		c.X = (c.X + 40) % (l.NumSitesX - c.W)
+		c.Y = (c.Y + 5) % (l.NumRows - c.H)
+		idx.Update(id)
+	}
+	check("move across bins")
+
+	for _, id := range movable[:len(movable)/4] {
+		idx.Remove(id)
+	}
+	check("remove")
 }

@@ -13,6 +13,7 @@ type Index struct {
 	binW, binH int
 	nx, ny     int
 	bins       [][]int     // bin -> cell IDs (unsorted)
+	gens       []uint64    // bin -> count of Add/Remove calls touching it
 	where      []geom.Rect // cell ID -> rect it was binned under
 	present    []bool      // cell ID -> currently indexed
 }
@@ -42,6 +43,7 @@ func NewIndex(l *model.Layout, binW, binH int, include func(int) bool) *Index {
 		idx.ny = 1
 	}
 	idx.bins = make([][]int, idx.nx*idx.ny)
+	idx.gens = make([]uint64, idx.nx*idx.ny)
 	for i := range l.Cells {
 		if include == nil || include(i) {
 			idx.Add(i)
@@ -69,6 +71,7 @@ func (idx *Index) Add(id int) {
 		for bx := bx0; bx <= bx1; bx++ {
 			b := by*idx.nx + bx
 			idx.bins[b] = append(idx.bins[b], id)
+			idx.gens[b]++
 		}
 	}
 	idx.where[id] = r
@@ -85,6 +88,7 @@ func (idx *Index) Remove(id int) {
 	for by := by0; by <= by1; by++ {
 		for bx := bx0; bx <= bx1; bx++ {
 			b := by*idx.nx + bx
+			idx.gens[b]++
 			s := idx.bins[b]
 			for k, v := range s {
 				if v == id {
@@ -134,4 +138,21 @@ func (idx *Index) Query(win geom.Rect, dst []int) []int {
 		}
 	}
 	return dst
+}
+
+// Generation returns a change stamp for the bins Query(win) visits: the
+// sum of their per-bin counters, which every Add and Remove touching the
+// bin bumps (Update is a Remove plus an Add). Counters only grow, so the
+// stamp is unchanged exactly when no cell entered or left those bins —
+// that is, when Query(win) would return the same cells at the same rects,
+// provided positions only change through Update.
+func (idx *Index) Generation(win geom.Rect) uint64 {
+	bx0, bx1, by0, by1 := idx.binRange(win)
+	var g uint64
+	for by := by0; by <= by1; by++ {
+		for bx := bx0; bx <= bx1; bx++ {
+			g += idx.gens[by*idx.nx+bx]
+		}
+	}
+	return g
 }
