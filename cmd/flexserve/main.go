@@ -155,6 +155,8 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	// The worker pool logs a recovered job panic through the default logger.
+	slog.SetDefault(logger)
 	reg := obs.NewRegistry()
 	opts := []flex.ServiceOption{
 		flex.WithMetrics(reg),

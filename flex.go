@@ -332,7 +332,9 @@ type BatchResult struct {
 	// Err is this job's failure, if any. Jobs that never started because
 	// the batch was canceled report an error matched by IsBatchSkipped;
 	// jobs whose deadline expired before they could start report
-	// ErrDeadlineExceeded.
+	// ErrDeadlineExceeded; a job whose engine panicked reports a
+	// *PanicError (identical jobs that were sharing its outcome-cache
+	// computation get a plain error).
 	Err error
 	// Wall is the job's own wall-clock time.
 	Wall time.Duration
@@ -524,6 +526,11 @@ func LegalizeBatchStream(ctx context.Context, jobs []BatchJob, opt BatchOptions)
 // IsBatchSkipped reports whether a BatchResult's error means the job never
 // started because the batch was canceled (context or fail-fast).
 func IsBatchSkipped(err error) bool { return errors.Is(err, batch.ErrSkipped) }
+
+// PanicError is a BatchResult's error when the job's engine panicked: the
+// worker recovers the panic, logs its stack once at error level, and goes
+// on serving. Match it with errors.As.
+type PanicError = batch.PanicError
 
 // ErrDeadlineExceeded marks a job whose BatchJob.Deadline passed before the
 // scheduler could start it: the job fails fast without running its engine,

@@ -17,6 +17,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 )
 
@@ -24,6 +25,21 @@ import (
 // first — either by the parent context or by FailFast after an earlier
 // job's error.
 var ErrSkipped = errors.New("batch: job skipped (batch canceled)")
+
+// PanicError is the error on the Result of a job that panicked. The pool
+// recovers the panic inside the job's worker, so one poisoned input costs
+// one job its result, never the worker, its batch or the process. A job
+// that holds a board token under a deferred release frees it while the
+// panic unwinds.
+type PanicError struct {
+	// Value is the value the job passed to panic.
+	Value any
+	// Stack is the panicking goroutine's stack trace.
+	Stack []byte
+}
+
+// Error implements error.
+func (e *PanicError) Error() string { return fmt.Sprintf("batch: job panicked: %v", e.Value) }
 
 // Job is one unit of work. The context is the batch's: it is canceled when
 // the parent context is canceled or, under FailFast, after the first error.

@@ -191,7 +191,8 @@ func classFrom(ctx context.Context) sched.Class {
 // token. When the granted board's previous holder ran a different job, the
 // board stays busy for the device's modeled reconfiguration delay before
 // this call returns. A job must release before re-acquiring — recursive
-// holds self-deadlock at capacity 1.
+// holds self-deadlock at capacity 1. Defer the release: a job that panics
+// then frees its board while unwinding, before its worker recovers.
 //
 //flexvet:walltime wait/hold/reconfig measurement is the device model's telemetry: stderr lines and stats sinks only
 func AcquireDevice(ctx context.Context) (release func(), err error) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -248,7 +250,8 @@ func effectiveWorkers(w, n int) int {
 // Exactly len(jobs) results are sent — skipped jobs carry ErrSkipped — and
 // the channel is then closed. Callers must drain the channel (cancel ctx to
 // stop early); abandoning it wedges the batch's admission slots and blocks
-// Pool.Close.
+// Pool.Close. A job that panics ends with a *PanicError on its own result;
+// the batch and the pool carry on.
 //
 // classes holds one sched.Class per job (nil = every job the zero class):
 // the pool's scheduler orders the jobs by class everywhere they wait, and a
@@ -310,7 +313,7 @@ func Stream[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.
 					}
 					start := time.Now() //flexvet:walltime per-job wall for Result.Wall, reported on stderr only
 					jctx = withSchedInfo(jctx, queued, start)
-					v, err := jobs[i](jctx)
+					v, err := runJob(jctx, i, jobs[i])
 					if err != nil && failFast {
 						cancel()
 					}
@@ -360,6 +363,23 @@ func Stream[T any](ctx context.Context, p *Pool, jobs []Job[T], classes []sched.
 		}
 	}()
 	return out, nil
+}
+
+// runJob runs job i, recovering a panic into a *PanicError result with the
+// stack logged once at error level, so its worker stays in service. A board
+// token the job holds under a deferred release was freed by the unwinding.
+func runJob[T any](ctx context.Context, i int, job Job[T]) (v T, err error) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		pe := &PanicError{Value: p, Stack: debug.Stack()}
+		slog.Default().Error("batch job panicked", "job", i, "panic", p, "stack", string(pe.Stack))
+		var zero T
+		v, err = zero, pe
+	}()
+	return job(ctx)
 }
 
 // Run is the blocking form of Stream: it executes jobs on the shared pool

@@ -1,8 +1,11 @@
 package batch
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,5 +207,63 @@ func TestPoolFailFastIsolatedPerBatch(t *testing.T) {
 		if r.Err != nil || r.Value != i*i {
 			t.Fatalf("job %d: %+v", i, r)
 		}
+	}
+}
+
+// TestPoolContainsJobPanic: on a one-worker, one-board pool, a job that
+// panics while holding the board (acquire, defer release, panic — the
+// engines' shape) yields a *PanicError on its own result and logs its
+// stack once at error level; the board is free, so the next job on the
+// same worker acquires it and completes.
+func TestPoolContainsJobPanic(t *testing.T) {
+	var logged bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+
+	p := NewPool(PoolConfig{Workers: 1, FPGAs: 1})
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	jobs := []Job[int]{
+		func(ctx context.Context) (int, error) {
+			release, err := AcquireDevice(ctx)
+			if err != nil {
+				return 0, err
+			}
+			defer release()
+			panic("poisoned input")
+		},
+		func(ctx context.Context) (int, error) {
+			release, err := AcquireDevice(ctx)
+			if err != nil {
+				return 0, err
+			}
+			defer release()
+			return 42, nil
+		},
+	}
+	results, st, err := Run(ctx, p, jobs, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pe *PanicError
+	if !errors.As(results[0].Err, &pe) || pe.Value != "poisoned input" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking job: %+v", results[0])
+	}
+	if results[1].Err != nil || results[1].Value != 42 {
+		t.Fatalf("job after the panic: %+v", results[1])
+	}
+	if st.Errors != 1 || st.DeviceAcquires != 2 {
+		t.Fatalf("stats %+v", st)
+	}
+	if n := strings.Count(logged.String(), "level=ERROR"); n != 1 || !strings.Contains(logged.String(), "poisoned input") {
+		t.Fatalf("want one error-level log line carrying the panic, got %d:\n%s", n, logged.String())
+	}
+	// The board is free: a later batch's job gets it without waiting.
+	if _, _, err := Run(ctx, p, jobs[1:], nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Device().Stats(); got.Acquires != 3 || got.Contended != 0 {
+		t.Fatalf("device stats %+v: the panicked job's board was not freed", got)
 	}
 }

@@ -13,8 +13,13 @@ package cache
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
+
+// ErrComputePanicked is the error Do returns to callers that joined an
+// in-flight computation whose compute panicked.
+var ErrComputePanicked = errors.New("cache: in-flight computation panicked")
 
 // LRU is a byte-bounded least-recently-used cache. The zero value is not
 // usable; construct with New. All methods are safe for concurrent use.
@@ -159,7 +164,9 @@ func (c *LRU) add(key string, v any, size int64) {
 // caller computes (a miss) while the rest wait and share the result (hits —
 // they skipped the computation, which is what hit accounting measures).
 // compute returns the value and its resident size; errors are returned to
-// every waiter and never cached.
+// every waiter and never cached. If compute panics, the call still
+// finishes — waiters get ErrComputePanicked, the key is computed afresh by
+// the next Do — and the panic continues up the computing caller's stack.
 func (c *LRU) Do(key string, compute func() (any, int64, error)) (any, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -176,20 +183,22 @@ func (c *LRU) Do(key string, compute func() (any, int64, error)) (any, error) {
 		return cl.v, cl.err
 	}
 	c.misses++
-	cl := &call{}
+	cl := &call{err: ErrComputePanicked} // overwritten unless compute panics
 	cl.wg.Add(1)
 	c.inflight[key] = cl
 	c.mu.Unlock()
 
+	var size int64
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if cl.err == nil {
+			c.add(key, cl.v, size)
+		}
+		c.mu.Unlock()
+		cl.wg.Done()
+	}()
 	v, size, err := compute()
 	cl.v, cl.err = v, err
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.add(key, v, size)
-	}
-	c.mu.Unlock()
-	cl.wg.Done()
 	return v, err
 }

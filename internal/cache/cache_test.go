@@ -3,9 +3,11 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGetAddHitMissAccounting(t *testing.T) {
@@ -134,6 +136,50 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("error value resident in cache")
+	}
+}
+
+// TestDoComputePanicFinishesCall: a compute that panics still finishes its
+// in-flight call. The panic reaches the computing caller, a caller that
+// joined the call gets ErrComputePanicked instead of blocking forever, and
+// the next Do on the key computes afresh.
+func TestDoComputePanicFinishesCall(t *testing.T) {
+	c := New(1000)
+	entered, joined := make(chan struct{}), make(chan error)
+	go func() {
+		<-entered
+		_, err := c.Do("k", func() (any, int64, error) {
+			t.Error("joined caller ran compute")
+			return nil, 0, nil
+		})
+		joined <- err
+	}()
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Errorf("recovered %v, want the compute's panic", p)
+			}
+		}()
+		c.Do("k", func() (any, int64, error) {
+			close(entered)
+			// Wait until the other caller has joined this call.
+			for c.Stats().Hits == 0 {
+				runtime.Gosched()
+			}
+			panic("boom")
+		})
+	}()
+	select {
+	case err := <-joined:
+		if !errors.Is(err, ErrComputePanicked) {
+			t.Fatalf("joined caller err = %v, want ErrComputePanicked", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("joined caller still blocked after the compute panicked")
+	}
+	v, err := c.Do("k", func() (any, int64, error) { return "fresh", 5, nil })
+	if err != nil || v != "fresh" || c.Len() != 1 {
+		t.Fatalf("Do after the panic = %v, %v (len %d)", v, err, c.Len())
 	}
 }
 

@@ -123,7 +123,6 @@ type chainEntry struct {
 type tableCell struct {
 	x, gx  int
 	c2     int // doubled center 2X+W, compared with the slot boundary
-	y0, y1 int // absolute row span [Y, Y+H)
 	s0, s1 int // segment indices the cell covers, clamped to the window (s0 ≤ s1)
 	w, h   int
 	hb     int // min(H, 4), the ChainVisitsByH bucket
@@ -158,24 +157,33 @@ func (v *visitCount) add(c *tableCell) {
 }
 
 // scratch holds the per-Best-call working memory so the triple loop runs
-// allocation-free: every evalPoint reuses the same cell table, chain lists,
-// row-offset array, hinge buffer, and curve evaluator. Scratches are pooled
-// (scratchPool): a Best call takes one for its whole duration and returns
-// it on exit, so concurrent Best calls (the batched engine's frozen
-// evaluations) never share one.
+// allocation-free: every evalPoint reuses the same cell table, reach list,
+// chain lists, row-offset array, hinge buffer, and curve evaluator.
+// Scratches are pooled (scratchPool): a Best call takes one for its whole
+// duration and returns it on exit, so concurrent Best calls (the batched
+// engine's frozen evaluations) never share one.
 type scratch struct {
-	order   []int
-	cells   []tableCell
-	all     visitCount // every table cell once
-	rowOff  []int
-	left    []chainEntry
-	right   []chainEntry
-	inLeft  []bool // table position -> claimed by the left chain
-	bps     []curve.Breakpoint
-	eval    curve.Evaluator
-	centers []int
-	bounds  []int
-	saved   []int
+	order  []int
+	cells  []tableCell
+	all    visitCount // every table cell once
+	joined []bool     // segment s -> a multi-row cell spans rows s and s+1
+	// The candidate row's reach: the table positions (ascending x) of the
+	// cells touching the row closure [c0, c1) of the target's segments
+	// [ts0, ts1), and the positions within reach of the cells in the
+	// target's own rows.
+	reach    []int
+	tpos     []int
+	c0, c1   int
+	ts0, ts1 int
+	rowOff   []int
+	left     []chainEntry
+	right    []chainEntry
+	inLeft   []bool // table position -> claimed by the left chain
+	bps      []curve.Breakpoint
+	eval     curve.Evaluator
+	centers  []int
+	bounds   []int
+	saved    []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -229,8 +237,9 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 		}
 		st.CandidateRows++
 		vbase := t.RowHeight * geom.Abs(y-t.GY)
+		sc.buildReach(y-win.Y, y+t.H-win.Y)
 
-		for _, b2 := range sc.slotBoundaries(reg, y, t.H) {
+		for _, b2 := range sc.slotBoundaries() {
 			st.InsertionPoints++
 			c := sc.evalPoint(reg, t, y, b2, lo0, hi0, vbase, opt, st)
 			if c.Better(best) {
@@ -242,7 +251,8 @@ func Best(reg *region.Region, t Target, opt Options, st *Stats) Candidate {
 }
 
 // buildTable fills sc.cells with the region's cells in ascending current
-// x and returns their number.
+// x, marks the segment rows that multi-row cells join, and returns the
+// number of cells.
 func (sc *scratch) buildTable(reg *region.Region) int {
 	order := sc.order[:0]
 	for i := range reg.Cells {
@@ -257,6 +267,8 @@ func (sc *scratch) buildTable(reg *region.Region) int {
 	sc.order = order
 
 	nSeg := len(reg.Segments)
+	sc.joined = resize(sc.joined, nSeg)
+	clear(sc.joined)
 	tab := sc.cells[:0]
 	sc.all = visitCount{}
 	for _, ci := range order {
@@ -264,7 +276,6 @@ func (sc *scratch) buildTable(reg *region.Region) int {
 		s0 := min(max(c.Y-reg.Window.Y, 0), nSeg)
 		e := tableCell{
 			x: c.X, gx: c.GX, c2: 2*c.X + c.W,
-			y0: c.Y, y1: c.Y + c.H,
 			s0: s0, s1: min(max(c.Y+c.H-reg.Window.Y, s0), nSeg),
 			w: c.W, h: c.H, hb: min(c.H, 4),
 			segLo: negInf, segHi: 1 << 50,
@@ -273,6 +284,9 @@ func (sc *scratch) buildTable(reg *region.Region) int {
 			e.segLo = max(e.segLo, reg.Segments[si].Lo)
 			e.segHi = min(e.segHi, reg.Segments[si].Hi)
 		}
+		for si := e.s0; si+1 < e.s1; si++ {
+			sc.joined[si] = true
+		}
 		tab = append(tab, e)
 		sc.all.add(&e)
 	}
@@ -280,24 +294,45 @@ func (sc *scratch) buildTable(reg *region.Region) int {
 	return len(tab)
 }
 
-// slotBoundaries returns the doubled-x boundary values that induce every
-// distinct left/right partition of the cells in rows [y, y+h): one below
-// the smallest doubled center, then one at each distinct doubled center.
-// The returned slice is scratch memory, valid until the next call.
-func (sc *scratch) slotBoundaries(reg *region.Region, y, h int) []int {
-	// A cell spanning several rows contributes the same doubled center to
-	// each, so gathering per-row (with duplicates) and deduplicating after
-	// the sort yields exactly the distinct-cell center set.
-	centers := sc.centers[:0]
-	for row := y; row < y+h; row++ {
-		seg := reg.SegmentAt(row)
-		if seg == nil {
+// buildReach computes, for a target over segments [ts0, ts1), the only
+// cells its shift chains can touch. A chain starts in the target's rows
+// and spreads to another row only through a cell spanning both, so it
+// stays inside the row closure [c0, c1): the target's rows extended up and
+// down through every row pair a multi-row cell joins. A cell wholly
+// outside the closure keeps a negInf offset in both sweeps of every
+// insertion point; the sweeps walk only the rest.
+func (sc *scratch) buildReach(ts0, ts1 int) {
+	c0, c1 := ts0, ts1
+	for c0 > 0 && sc.joined[c0-1] {
+		c0--
+	}
+	for c1 < len(sc.joined) && sc.joined[c1-1] {
+		c1++
+	}
+	reach, tpos := sc.reach[:0], sc.tpos[:0]
+	for k := range sc.cells {
+		c := &sc.cells[k]
+		if c.s0 >= c1 || c.s1 <= c0 {
 			continue
 		}
-		for _, ci := range seg.Cells {
-			c := &reg.Cells[ci]
-			centers = append(centers, 2*c.X+c.W)
+		if c.s0 < ts1 && c.s1 > ts0 {
+			tpos = append(tpos, len(reach))
 		}
+		reach = append(reach, k)
+	}
+	sc.reach, sc.tpos = reach, tpos
+	sc.c0, sc.c1, sc.ts0, sc.ts1 = c0, c1, ts0, ts1
+}
+
+// slotBoundaries returns the doubled-x boundary values that induce every
+// distinct left/right partition of the cells in the target's rows (the
+// reach's tpos cells): one below the smallest doubled center, then one at
+// each distinct doubled center. The returned slice is scratch memory,
+// valid until the next call.
+func (sc *scratch) slotBoundaries() []int {
+	centers := sc.centers[:0]
+	for _, j := range sc.tpos {
+		centers = append(centers, sc.cells[sc.reach[j]].c2)
 	}
 	sc.centers = centers
 	if len(centers) == 0 {
@@ -321,33 +356,44 @@ func (sc *scratch) slotBoundaries(reg *region.Region, y, h int) []int {
 func (sc *scratch) evalPoint(reg *region.Region, t Target, y, b2, lo0, hi0, vbase int, opt Options, st *Stats) Candidate {
 	st.Shift.Passes += 2 // one outward sweep per phase
 
-	tab := sc.cells
-	rowOff := sc.rowOff
-	inLeft := sc.inLeft
-	yEnd := y + t.H
-	// The target's rows as segment indices (clamped like the cells').
-	ts0, ts1 := max(y-reg.Window.Y, 0), min(yEnd-reg.Window.Y, len(rowOff))
-	// Each sweep visits every cell it does not skip; tallying the (fewer)
-	// skipped cells and subtracting from two full passes gives the same
-	// visit statistics.
-	var skipped visitCount
+	tab, reach, rowOff, inLeft := sc.cells, sc.reach, sc.rowOff, sc.inLeft
+	ts0, ts1 := sc.ts0, sc.ts1
 
-	// Left sweep: descending x over left/none cells. A cell is in the
-	// target's rows when y0 < y+t.H && y1 > y; among those, the boundary b2
-	// splits left (2x+w ≤ b2) from right.
-	for i := range rowOff {
-		rowOff[i] = negInf
+	// The boundary b2 splits the target-row cells into left (2x+w ≤ b2)
+	// and right. Before the first left cell in descending x, and before
+	// the first right cell in ascending x, no chain has reached any row:
+	// each sweep starts there. Both sweeps nominally visit every table
+	// cell but the ones they skip — the left sweep the right partition,
+	// the right sweep the left chain (which holds the whole left
+	// partition) — so the visit statistics are two full passes less the
+	// skipped cells, tallied as they are found.
+	var skipped visitCount
+	lstart, rstart := -1, len(reach)
+	for i := len(sc.tpos) - 1; i >= 0; i-- {
+		j := sc.tpos[i]
+		if c := &tab[reach[j]]; c.c2 > b2 {
+			skipped.add(c)
+			rstart = j
+		} else if lstart < 0 {
+			lstart = j
+		}
+	}
+
+	// Left sweep: descending x over left/none cells. Reach cells read and
+	// write offsets only inside the closure, so only it is reset.
+	for si := sc.c0; si < sc.c1; si++ {
+		rowOff[si] = negInf
 	}
 	for si := ts0; si < ts1; si++ {
 		rowOff[si] = 0
 	}
 	lo, hi := lo0, hi0
 	left := sc.left[:0]
-	for k := len(tab) - 1; k >= 0; k-- {
+	for j := lstart; j >= 0; j-- {
+		k := reach[j]
 		c := &tab[k]
-		if c.c2 > b2 && c.y0 < yEnd && c.y1 > y {
-			skipped.add(c) // right-partition cell
-			continue
+		if c.c2 > b2 && c.s0 < ts1 && c.s1 > ts0 {
+			continue // right-partition cell
 		}
 		o := c.maxOffset(rowOff)
 		if o == negInf {
@@ -360,25 +406,26 @@ func (sc *scratch) evalPoint(reg *region.Region, t Target, y, b2, lo0, hi0, vbas
 		lo = max(lo, c.segLo+o) // pushed cell must stay inside its segments
 		left = append(left, chainEntry{k, o})
 		inLeft[k] = true
+		skipped.add(c)
 	}
 	sc.left = left
 
 	// Right sweep: ascending x over right/none cells.
-	for i := range rowOff {
-		rowOff[i] = negInf
+	for si := sc.c0; si < sc.c1; si++ {
+		rowOff[si] = negInf
 	}
 	for si := ts0; si < ts1; si++ {
 		rowOff[si] = t.W
 	}
 	right := sc.right[:0]
-	for k := range tab {
-		c := &tab[k]
-		if inLeft[k] || (c.c2 <= b2 && c.y0 < yEnd && c.y1 > y) {
+	for j := rstart; j < len(reach); j++ {
+		k := reach[j]
+		if inLeft[k] {
 			// Cells already claimed by the left chain cannot be squeezed
 			// from both sides; the left chain takes precedence.
-			skipped.add(c)
 			continue
 		}
+		c := &tab[k]
 		o := c.maxOffset(rowOff)
 		if o == negInf {
 			continue

@@ -67,8 +67,8 @@ func bruteBest(reg *region.Region, t Target) (int, bool) {
 		if !t.ParityOK(y) {
 			continue
 		}
-		var sc scratch
-		for _, b2 := range sc.slotBoundaries(reg, y, t.H) {
+		var sc refScratch
+		for _, b2 := range sc.refSlotBoundaries(reg, y, t.H) {
 			for x := win.X; x+t.W <= win.X+win.W; x++ {
 				cost, ok := commitCost(reg, t, Candidate{X: x, Y: y, Boundary2: b2, Feasible: true})
 				if ok && cost < best {

@@ -18,11 +18,6 @@ import (
 type Scheduler interface {
 	// Next returns the next target cell ID, or ok=false when exhausted.
 	Next() (id int, ok bool)
-	// Peek returns the upcoming target without consuming it (the paper's
-	// C_next, used for ping-pong preloading), or ok=false when exhausted.
-	Peek() (id int, ok bool)
-	// Remaining reports how many targets are left.
-	Remaining() int
 }
 
 // bySizeDesc sorts cell IDs by descending area, breaking ties by descending
@@ -63,17 +58,6 @@ func (s *SizeOrder) Next() (int, bool) {
 	s.queue = s.queue[1:]
 	return id, true
 }
-
-// Peek implements Scheduler.
-func (s *SizeOrder) Peek() (int, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0], true
-}
-
-// Remaining implements Scheduler.
-func (s *SizeOrder) Remaining() int { return len(s.queue) }
 
 // SlidingWindow is the FLEX ordering: an initial size-descending sequence
 // refined on the fly. The head of the window (C_cur) is processed next and
@@ -129,17 +113,6 @@ func (s *SlidingWindow) Next() (int, bool) {
 	}
 	return id, true
 }
-
-// Peek implements Scheduler.
-func (s *SlidingWindow) Peek() (int, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0], true
-}
-
-// Remaining implements Scheduler.
-func (s *SlidingWindow) Remaining() int { return len(s.queue) }
 
 // DensityEstimator returns a localRegion-density estimate function backed
 // by the spatial index: occupied area of indexed cells in a window around

@@ -21,9 +21,6 @@ func layout(t *testing.T) *model.Layout {
 func TestSizeOrderDescending(t *testing.T) {
 	l := layout(t)
 	s := NewSizeOrder(l)
-	if s.Remaining() != len(l.MovableIDs()) {
-		t.Fatalf("Remaining = %d", s.Remaining())
-	}
 	prev := 1 << 60
 	count := 0
 	for {
@@ -40,24 +37,6 @@ func TestSizeOrderDescending(t *testing.T) {
 	}
 	if count != len(l.MovableIDs()) {
 		t.Fatalf("yielded %d targets", count)
-	}
-	if _, ok := s.Peek(); ok {
-		t.Fatal("Peek after exhaustion should fail")
-	}
-}
-
-func TestSizeOrderPeekMatchesNext(t *testing.T) {
-	l := layout(t)
-	s := NewSizeOrder(l)
-	for i := 0; i < 10; i++ {
-		p, ok := s.Peek()
-		if !ok {
-			break
-		}
-		n, _ := s.Next()
-		if p != n {
-			t.Fatalf("Peek %d != Next %d", p, n)
-		}
 	}
 }
 

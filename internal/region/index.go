@@ -15,8 +15,12 @@ type Index struct {
 	bins       [][]int     // bin -> cell IDs (unsorted)
 	gens       []uint64    // bin -> count of Add/Remove calls touching it
 	where      []geom.Rect // cell ID -> rect it was binned under
+	home       []binXY     // cell ID -> lowest bin column and row of where
 	present    []bool      // cell ID -> currently indexed
 }
+
+// binXY is a bin's column and row.
+type binXY struct{ x, y int32 }
 
 // NewIndex builds an index over the layout with bins of the given size
 // (sites × rows). Only cells for which include(id) is true are inserted;
@@ -34,6 +38,7 @@ func NewIndex(l *model.Layout, binW, binH int, include func(int) bool) *Index {
 		nx:      (l.NumSitesX + binW - 1) / binW,
 		ny:      (l.NumRows + binH - 1) / binH,
 		where:   make([]geom.Rect, len(l.Cells)),
+		home:    make([]binXY, len(l.Cells)),
 		present: make([]bool, len(l.Cells)),
 	}
 	if idx.nx < 1 {
@@ -75,6 +80,7 @@ func (idx *Index) Add(id int) {
 		}
 	}
 	idx.where[id] = r
+	idx.home[id] = binXY{int32(bx0), int32(by0)}
 	idx.present[id] = true
 }
 
@@ -118,17 +124,17 @@ func (idx *Index) Update(id int) {
 // Query appends to dst the IDs of indexed cells whose rect overlaps win,
 // without duplicates, and returns the extended slice. Deduplication is
 // allocation-free: a cell spanning several bins is accepted only at the
-// first query bin covering it in row-major order (its binned rect pins
-// that bin down), which also preserves first-encounter output order. No
-// state is shared across calls, so concurrent Query on one index is safe
-// as long as no writer runs.
+// first query bin covering it in row-major order (its home bin, cached by
+// Add, pins that bin down), which also preserves first-encounter output
+// order. No state is shared across calls, so concurrent Query on one index
+// is safe as long as no writer runs.
 func (idx *Index) Query(win geom.Rect, dst []int) []int {
 	bx0, bx1, by0, by1 := idx.binRange(win)
 	for by := by0; by <= by1; by++ {
 		for bx := bx0; bx <= bx1; bx++ {
 			for _, id := range idx.bins[by*idx.nx+bx] {
-				hbx0, _, hby0, _ := idx.binRange(idx.where[id])
-				if by != geom.Max(by0, hby0) || bx != geom.Max(bx0, hbx0) {
+				h := idx.home[id]
+				if by != max(by0, int(h.y)) || bx != max(bx0, int(h.x)) {
 					continue // counted at its first covering bin already
 				}
 				if idx.l.Cells[id].Rect().Overlaps(win) {

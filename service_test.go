@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"log/slog"
+	"strings"
 	"testing"
+	"time"
 
 	flex "github.com/flex-eda/flex"
 )
@@ -194,5 +198,81 @@ func TestServiceCacheHitRate(t *testing.T) {
 	}
 	if got := st.CacheHitRate(); got != 0.75 {
 		t.Fatalf("hit rate = %v, want 0.75", got)
+	}
+}
+
+// TestServiceContainsEnginePanic: a job whose engine panics (the
+// analytical engine indexing rows past the die for an unvalidated library
+// layout with a 5-row cell on a 2-row die) ends as that job's error, with
+// the stack logged once at error level. The rest of the submission and
+// later submissions on the same one-worker, one-board service complete.
+func TestServiceContainsEnginePanic(t *testing.T) {
+	var logged bytes.Buffer
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+
+	svc := flex.NewService(flex.WithWorkers(1), flex.WithFPGAs(1))
+	defer svc.Close()
+	poison := &flex.Layout{NumSitesX: 4, NumRows: 2, RowHeight: 8, Cells: []flex.Cell{{W: 2, H: 5}}}
+	good := flex.BatchJob{Design: "fft_a_md2", Scale: 0.008, Engine: flex.EngineFLEX}
+	ch, err := svc.Stream(context.Background(),
+		[]flex.BatchJob{{Layout: poison, Engine: flex.EngineAnalytical}, good}, flex.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]flex.BatchResult, 2)
+	for br := range ch {
+		results[br.Index] = br
+	}
+	var pe *flex.PanicError
+	if !errors.As(results[0].Err, &pe) {
+		t.Fatalf("poisoned job: err %v, want a *flex.PanicError", results[0].Err)
+	}
+	if results[1].Err != nil || !results[1].Outcome.Legal {
+		t.Fatalf("job after the panic: %+v", results[1])
+	}
+	if n := strings.Count(logged.String(), "level=ERROR"); n != 1 {
+		t.Fatalf("want one error-level log line, got %d:\n%s", n, logged.String())
+	}
+	sum, err := svc.Submit(context.Background(), []flex.BatchJob{good}, flex.SubmitOptions{})
+	if err != nil || sum.Errors != 0 || !sum.Results[0].Outcome.Legal {
+		t.Fatalf("later submission: %v %+v", err, sum)
+	}
+	if st := svc.Stats(); st.Errors != 1 || st.Jobs != 3 {
+		t.Fatalf("service stats %+v", st)
+	}
+}
+
+// TestServiceContainsEnginePanicWithOutcomeCache: with the outcome cache on,
+// the engine runs inside the cache's single-flight computation. A panic
+// there must still finish that computation, so submitting the same
+// poisoned job again panics afresh instead of waiting forever on it, and
+// the one-worker service keeps serving.
+func TestServiceContainsEnginePanicWithOutcomeCache(t *testing.T) {
+	defer slog.SetDefault(slog.Default())
+	slog.SetDefault(slog.New(slog.NewTextHandler(io.Discard, nil)))
+
+	svc := flex.NewService(flex.WithWorkers(1), flex.WithFPGAs(1), flex.WithOutcomeCacheBytes(64<<20))
+	defer svc.Close()
+	poison := flex.BatchJob{
+		Layout: &flex.Layout{NumSitesX: 4, NumRows: 2, RowHeight: 8, Cells: []flex.Cell{{W: 2, H: 5}}},
+		Engine: flex.EngineAnalytical,
+	}
+	good := flex.BatchJob{Design: "fft_a_md2", Scale: 0.008, Engine: flex.EngineFLEX}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		sum, err := svc.Submit(ctx, []flex.BatchJob{poison}, flex.SubmitOptions{})
+		if err != nil {
+			t.Fatalf("poisoned submission %d: %v", i, err)
+		}
+		var pe *flex.PanicError
+		if !errors.As(sum.Results[0].Err, &pe) {
+			t.Fatalf("poisoned submission %d: err %v, want a *flex.PanicError", i, sum.Results[0].Err)
+		}
+	}
+	sum, err := svc.Submit(ctx, []flex.BatchJob{good}, flex.SubmitOptions{})
+	if err != nil || sum.Errors != 0 || !sum.Results[0].Outcome.Legal {
+		t.Fatalf("good job after the panics: %v %+v", err, sum)
 	}
 }
