@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/shard -run=NONE -fuzz=FuzzSplitStitch -fuzztime=10s
 	$(GO) test ./internal/fop -run=NONE -fuzz=FuzzBest -fuzztime=10s
 	$(GO) test ./internal/region -run=NONE -fuzz=FuzzIndexQuery -fuzztime=10s
+	$(GO) test ./cmd/flexserve -run=NONE -fuzz=FuzzServeRequest -fuzztime=10s
 
 race:
 	$(GO) test -shuffle=on -race ./...

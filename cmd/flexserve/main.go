@@ -19,8 +19,10 @@
 //
 //   - GET /metrics serves the service's metric registry in Prometheus text
 //     exposition format: latency histograms for queue wait, device
-//     wait/hold, fleet RPCs and end-to-end job time, plus job/reject/cache
-//     counters and queue-depth/draining/build-info gauges.
+//     wait/hold, fleet RPCs and end-to-end job time, plus job, batch,
+//     reject, panic, layout/outcome-cache and eco counters and
+//     queue-depth/draining/build-info gauges. /v1/stats reads its counters
+//     from the same registry.
 //   - -trace records a per-job span tree (admit, sched-wait, device-wait,
 //     device-hold, per-band legalize, fleet-rpc, stitch, eco-splice); each
 //     NDJSON result line then carries a "trace" ID, and on a coordinator
@@ -115,7 +117,6 @@ import (
 	"time"
 
 	flex "github.com/flex-eda/flex"
-	"github.com/flex-eda/flex/internal/obs"
 )
 
 func main() {
@@ -157,9 +158,7 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	// The worker pool logs a recovered job panic through the default logger.
 	slog.SetDefault(logger)
-	reg := obs.NewRegistry()
 	opts := []flex.ServiceOption{
-		flex.WithMetrics(reg),
 		flex.WithTracing(*trace),
 		flex.WithLogger(logger),
 		flex.WithWorkers(*workers),
@@ -208,10 +207,9 @@ func main() {
 		fw.SetLogger(logger)
 	}
 	app := newServerWith(svc, fw, int64(*maxBodyMB)<<20, *maxScale, *maxShards, obsConfig{
-		metrics: reg,
-		log:     logger,
-		trace:   *trace,
-		pprof:   *pprofOn,
+		log:   logger,
+		trace: *trace,
+		pprof: *pprofOn,
 	})
 	srv := &http.Server{
 		Addr:              *addr,

@@ -14,25 +14,22 @@ import (
 	"testing"
 
 	flex "github.com/flex-eda/flex"
-	"github.com/flex-eda/flex/internal/obs"
 )
 
 // newObsServer builds a flexserve with the full observability surface on:
-// a metric registry wired through the service, tracing, and pprof.
-func newObsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
+// tracing and pprof (the service's metric registry is always served).
+func newObsServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	reg := obs.NewRegistry()
 	svc := flex.NewService(
-		flex.WithWorkers(2), flex.WithCacheBytes(32<<20),
-		flex.WithMetrics(reg), flex.WithTracing(true))
+		flex.WithWorkers(2), flex.WithCacheBytes(32<<20), flex.WithTracing(true))
 	ts := httptest.NewServer(newServerWith(svc, nil, 8<<20, 0.05, 8, obsConfig{
-		metrics: reg, trace: true, pprof: true,
+		trace: true, pprof: true,
 	}))
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
 	})
-	return ts, reg
+	return ts
 }
 
 // sample is one parsed exposition line: a metric name, its sorted label
@@ -143,7 +140,7 @@ func postJobs(t *testing.T, ts *httptest.Server, n int) []resultLine {
 // histogram bucket counts are monotone in le and consistent with +Inf and
 // _count, and across scrapes that counters never go backwards.
 func TestMetricsScrapeUnderTraffic(t *testing.T) {
-	ts, _ := newObsServer(t)
+	ts := newObsServer(t)
 
 	const clients, rounds, scrapes = 3, 3, 6
 	var wg sync.WaitGroup
@@ -292,7 +289,7 @@ func checkHistograms(t *testing.T, samples []sample) {
 // line reports a 16-hex trace ID, and that without it the field is absent
 // from the wire format entirely.
 func TestResultLinesCarryTraceIDs(t *testing.T) {
-	ts, _ := newObsServer(t)
+	ts := newObsServer(t)
 	idRe := regexp.MustCompile(`^[0-9a-f]{16}$`)
 	for _, line := range postJobs(t, ts, 3) {
 		if !idRe.MatchString(line.Trace) {
@@ -338,21 +335,26 @@ func TestBuildInfoEndpoint(t *testing.T) {
 	}
 }
 
-// TestObsEndpointGating asserts that /metrics and /debug/pprof/* are 404
-// on a server built without them and live on one built with them.
+// TestObsEndpointGating asserts that /debug/pprof/* is 404 on a server
+// built without it and live on one built with it, and that /metrics is
+// served either way.
 func TestObsEndpointGating(t *testing.T) {
 	plain := newTestServer(t)
-	for _, path := range []string{"/metrics", "/debug/pprof/"} {
+	for _, c := range []struct {
+		path string
+		want int
+	}{{"/metrics", http.StatusOK}, {"/debug/pprof/", http.StatusNotFound}} {
+		path, want := c.path, c.want
 		resp, err := http.Get(plain.URL + path)
 		if err != nil {
 			t.Fatalf("get %s: %v", path, err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on plain server: status %d, want 404", path, resp.StatusCode)
+		if resp.StatusCode != want {
+			t.Fatalf("%s on plain server: status %d, want %d", path, resp.StatusCode, want)
 		}
 	}
-	obsTS, _ := newObsServer(t)
+	obsTS := newObsServer(t)
 	for _, path := range []string{"/metrics", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
 		resp, err := http.Get(obsTS.URL + path)
 		if err != nil {

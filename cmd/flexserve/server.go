@@ -122,97 +122,29 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// statsResponse mirrors flex.ServiceStats with durations in milliseconds,
-// so curl consumers aren't handed nanosecond integers.
+// statsResponse is the GET /v1/stats body: flex.ServiceStats under its
+// own JSON tags, plus what derives from it — the Retry-After a request
+// rejected right now would carry (ceil(queuedJobs / workers) seconds,
+// clamped to [1, 60]), the layout-cache hit rate, and the time.Duration
+// fields in milliseconds, so curl consumers aren't handed nanosecond
+// integers. The fleet block (coordinator only) gains remoteWallMs the
+// same way.
 type statsResponse struct {
-	Batches    int64 `json:"batches"`
-	Jobs       int64 `json:"jobs"`
-	Errors     int64 `json:"errors"`
-	Skipped    int64 `json:"skipped"`
-	Overloaded int64 `json:"overloaded"`
-	// ShardedJobs counts jobs that took the row-band shard path.
-	ShardedJobs int64 `json:"shardedJobs"`
-	Workers     int   `json:"workers"`
-	FPGAs       int   `json:"fpgas"` // 0 = unlimited
-	QueueDepth  int   `json:"queueDepth"`
-	// QueuedJobs is the current queue occupancy (admitted and not yet
-	// delivered, with each band of a sharded job counted separately).
-	// RetryAfterSeconds is the 429 Retry-After a request rejected right
-	// now would carry — ceil(queuedJobs / workers) seconds, clamped to
-	// [1, 60] — so clients can see the congestion estimate before
-	// tripping it.
-	QueuedJobs        int `json:"queuedJobs"`
-	RetryAfterSeconds int `json:"retryAfterSeconds"`
-	// Scheduler names the active queue policy; queuedByPriority buckets
-	// the jobs currently waiting for a worker by priority level (JSON
-	// object keyed by the decimal level), and queuedByClient/
-	// runningByClient give the per-tenant picture the quotas act on.
-	Scheduler        string         `json:"scheduler"`
-	QueuedByPriority map[string]int `json:"queuedByPriority"`
-	QueuedByClient   map[string]int `json:"queuedByClient"`
-	RunningByClient  map[string]int `json:"runningByClient"`
-	// ClientQuota/ClientQueueDepth echo the per-client bounds (0 =
-	// unlimited); clientOverloaded counts submissions a per-client bound
-	// rejected with 429.
-	ClientQuota      int   `json:"clientQuota"`
-	ClientQueueDepth int   `json:"clientQueueDepth"`
-	ClientOverloaded int64 `json:"clientOverloaded"`
-	// ReconfigMs is the modeled board-programming delay per configuration
-	// swap; reconfigs/reconfigTimeMs total the swaps charged so far.
-	ReconfigMs      float64 `json:"reconfigMs"`
-	Reconfigs       int     `json:"reconfigs"`
-	ReconfigTimeMs  float64 `json:"reconfigTimeMs"`
-	CacheHits       int64   `json:"cacheHits"`
-	CacheMisses     int64   `json:"cacheMisses"`
-	CacheHitRate    float64 `json:"cacheHitRate"`
-	CacheEvictions  int64   `json:"cacheEvictions"`
-	CacheEntries    int     `json:"cacheEntries"`
-	CacheBytes      int64   `json:"cacheBytes"`
-	CacheMaxBytes   int64   `json:"cacheMaxBytes"`
-	DeviceWaitMs    float64 `json:"deviceWaitMs"`
-	DeviceHoldMs    float64 `json:"deviceHoldMs"`
-	DeviceAcquires  int     `json:"deviceAcquires"`
-	DeviceContended int     `json:"deviceContended"`
-	// Outcome-cache accounting (zero unless -outcome-cache-mb or
-	// -cache-dir is set): incremental counts edit jobs that spliced cached
-	// clean bands; fallbacks edit jobs that ran in full; outcomeHits jobs
-	// served wholly or partly from a cached outcome; outcomeDiskHits
-	// lookups that re-warmed from -cache-dir files; outcomeLoaded entries
-	// restored at start; outcomeErrors corrupt files skipped.
-	Incremental     int64 `json:"incremental"`
-	Fallbacks       int64 `json:"fallbacks"`
-	OutcomeHits     int64 `json:"outcomeHits"`
-	OutcomeMisses   int64 `json:"outcomeMisses"`
-	OutcomeEntries  int   `json:"outcomeEntries"`
-	OutcomeBytes    int64 `json:"outcomeBytes"`
-	OutcomeDiskHits int64 `json:"outcomeDiskHits"`
-	OutcomeLoaded   int64 `json:"outcomeLoaded"`
-	OutcomeErrors   int64 `json:"outcomeErrors"`
-	// Fleet is the coordinator's routing snapshot: present only when the
-	// server was started with -mode coordinator.
-	Fleet *fleetStatsResponse `json:"fleet,omitempty"`
+	flex.ServiceStats
+	RetryAfterSeconds int        `json:"retryAfterSeconds"`
+	CacheHitRate      float64    `json:"cacheHitRate"`
+	ReconfigMs        float64    `json:"reconfigMs"`
+	ReconfigTimeMs    float64    `json:"reconfigTimeMs"`
+	DeviceWaitMs      float64    `json:"deviceWaitMs"`
+	DeviceHoldMs      float64    `json:"deviceHoldMs"`
+	Fleet             *fleetView `json:"fleet,omitempty"` // shadows ServiceStats.Fleet
 }
 
-// fleetStatsResponse mirrors flex.FleetStats for /v1/stats consumers: one
-// row per configured worker plus fleet-wide routing totals.
-// remoteWallMs is cumulative band round-trip wall time — telemetry only,
-// never part of any modeled result.
-type fleetStatsResponse struct {
-	Nodes        []fleetNodeResponse `json:"nodes"`
-	Routed       int64               `json:"routed"`
-	Retried      int64               `json:"retried"`
-	Excluded     int64               `json:"excluded"`
-	RemoteWallMs float64             `json:"remoteWallMs"`
-}
-
-// fleetNodeResponse is one worker's liveness and traffic as the router
-// last saw it (state: alive, draining, or dead).
-type fleetNodeResponse struct {
-	Addr     string `json:"addr"`
-	State    string `json:"state"`
-	Routed   int64  `json:"routed"`
-	Failed   int64  `json:"failed"`
-	Inflight int    `json:"inflight"`
+// fleetView is flex.FleetStats with its round-trip wall time in
+// milliseconds — telemetry only, never part of any modeled result.
+type fleetView struct {
+	*flex.FleetStats
+	RemoteWallMs float64 `json:"remoteWallMs"`
 }
 
 // server is the HTTP front end over one long-lived flex.Service.
@@ -227,26 +159,18 @@ type server struct {
 	draining  atomic.Bool
 	mux       *http.ServeMux
 
-	// Observability (see obsConfig): metrics is nil when /metrics is not
-	// served; log is never nil. All telemetry — request IDs, reject
-	// counters and warn lines never influence response bytes.
-	metrics      *obs.Registry
-	log          *slog.Logger
-	trace        bool
-	reqSeq       atomic.Int64
-	rejectQueue  obs.Counter // flex_serve_rejects_total{reason="queue_full"}
-	rejectClient obs.Counter // flex_serve_rejects_total{reason="client_queue_full"}
-	rejectDrain  obs.Counter // flex_serve_rejects_total{reason="draining"}
+	// Observability (see obsConfig): log is never nil. All telemetry —
+	// request IDs and warn lines never influence response bytes.
+	log    *slog.Logger
+	trace  bool
+	reqSeq atomic.Int64
 }
 
 // obsConfig is the server's observability wiring. The zero value —
 // the test default and the library-equivalent of running without the
-// observability flags — serves no /metrics, logs through slog.Default,
-// attaches no trace IDs and hides pprof.
+// observability flags — logs through slog.Default, attaches no trace IDs
+// and hides pprof. GET /metrics is always served.
 type obsConfig struct {
-	// metrics, when non-nil, is exposed as Prometheus text at GET /metrics
-	// (the same registry the service's WithMetrics feeds).
-	metrics *obs.Registry
 	// log receives the server's structured request logging (rejections at
 	// warn, per-job span summaries at debug). nil = slog.Default().
 	log *slog.Logger
@@ -269,9 +193,8 @@ func newServer(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxScale 
 	return newServerWith(svc, fw, maxBody, maxScale, maxShards, obsConfig{})
 }
 
-// newServerWith is newServer plus the observability wiring: the /metrics
-// and /v1/buildinfo endpoints, flag-gated pprof, structured logging, and
-// per-row trace IDs.
+// newServerWith is newServer plus the observability wiring: flag-gated
+// pprof, structured logging, and per-row trace IDs.
 func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxScale float64, maxShards int, oc obsConfig) *server {
 	if maxBody <= 0 {
 		maxBody = 64 << 20
@@ -291,23 +214,16 @@ func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxSc
 		maxBody: maxBody, maxScale: maxScale, maxShards: maxShards,
 		workers:  svc.Stats().Workers,
 		knownSet: map[string]bool{},
-		metrics:  oc.metrics,
 		log:      log,
 		trace:    oc.trace,
 	}
 	for _, d := range flex.Designs() {
 		s.knownSet[d] = true
 	}
-	// Server-side metric families (all nil-registry-safe): load-shedding
-	// counters by reason, the draining flag as a gauge, and the build
-	// identity as a constant info gauge.
-	s.rejectQueue = oc.metrics.Counter("flex_serve_rejects_total",
-		"Requests shed at admission, by reason.", obs.Label{Key: "reason", Value: "queue_full"})
-	s.rejectClient = oc.metrics.Counter("flex_serve_rejects_total",
-		"Requests shed at admission, by reason.", obs.Label{Key: "reason", Value: "client_queue_full"})
-	s.rejectDrain = oc.metrics.Counter("flex_serve_rejects_total",
-		"Requests shed at admission, by reason.", obs.Label{Key: "reason", Value: "draining"})
-	oc.metrics.GaugeFunc("flex_serve_draining_state",
+	// Server-side metric families, beside the service's own: the draining
+	// flag as a gauge and the build identity as a constant info gauge.
+	reg := svc.Metrics()
+	reg.GaugeFunc("flex_serve_draining_state",
 		"1 once graceful shutdown has begun, 0 while serving.",
 		func() float64 {
 			if s.draining.Load() {
@@ -316,7 +232,7 @@ func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxSc
 			return 0
 		})
 	build := obs.Build()
-	oc.metrics.Gauge("flex_serve_build_info",
+	reg.Gauge("flex_serve_build_info",
 		"Build identity as constant labels; the value is always 1.",
 		obs.Label{Key: "version", Value: build.Version},
 		obs.Label{Key: "revision", Value: build.Revision}).Set(1)
@@ -326,9 +242,7 @@ func newServerWith(svc *flex.Service, fw *flex.FleetWorker, maxBody int64, maxSc
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/buildinfo", s.handleBuildInfo)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if oc.metrics != nil {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if oc.pprof {
 		// pprof.Index dispatches /debug/pprof/{heap,goroutine,...} itself;
 		// the named handlers cover the non-lookup endpoints.
@@ -640,7 +554,6 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		// while others keep submitting. Retry-After reflects the tenant's
 		// own backlog.
 		retryAfter := s.clientRetryAfterSeconds(clientErr.Client)
-		s.rejectClient.Inc()
 		s.log.Warn("request rejected with 429: per-client queue full",
 			"req", rid, "remote", r.RemoteAddr, "client", clientErr.Client,
 			"clientQueued", s.svc.ClientQueued(clientErr.Client), "retryAfterSeconds", retryAfter)
@@ -653,7 +566,6 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		// retryAfterSeconds for the estimate's meaning.
 		st := s.svc.Stats()
 		retryAfter := retryAfterSeconds(st)
-		s.rejectQueue.Inc()
 		s.log.Warn("request rejected with 429: queue full",
 			"req", rid, "remote", r.RemoteAddr, "jobs", len(jobs),
 			"queueDepth", st.QueuedJobs, "retryAfterSeconds", retryAfter)
@@ -661,7 +573,6 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusTooManyRequests, "service overloaded: queue full")
 		return
 	case errors.Is(err, flex.ErrServiceClosed):
-		s.rejectDrain.Inc()
 		s.log.Warn("request rejected with 503: service shutting down",
 			"req", rid, "remote", r.RemoteAddr, "jobs", len(jobs))
 		writeJSONError(w, http.StatusServiceUnavailable, "service shutting down")
@@ -735,12 +646,11 @@ func (s *server) handleLegalize(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(sum)
 }
 
-// handleMetrics serves the registry in Prometheus text exposition format.
-// Only mounted when the server was built with a registry, so s.metrics is
-// non-nil here.
+// handleMetrics serves the service's registry in Prometheus text
+// exposition format.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w)
+	s.svc.Metrics().WritePrometheus(w)
 }
 
 // handleBuildInfo reports the binary's module version and VCS identity so
@@ -753,54 +663,19 @@ func (s *server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.svc.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	byPriority := make(map[string]int, len(st.QueuedByPriority))
-	for p, n := range st.QueuedByPriority {
-		byPriority[strconv.Itoa(p)] = n
-	}
 	resp := statsResponse{
-		Batches: st.Batches, Jobs: st.Jobs, Errors: st.Errors,
-		Skipped: st.Skipped, Overloaded: st.Overloaded,
-		ShardedJobs: st.ShardedJobs,
-		Workers:     st.Workers, FPGAs: st.FPGAs, QueueDepth: st.QueueDepth,
-		QueuedJobs:        st.QueuedJobs,
+		ServiceStats:      st,
 		RetryAfterSeconds: retryAfterSeconds(st),
-		Scheduler:         st.Scheduler,
-		QueuedByPriority:  byPriority,
-		QueuedByClient:    st.QueuedByClient,
-		RunningByClient:   st.RunningByClient,
-		ClientQuota:       st.ClientQuota,
-		ClientQueueDepth:  st.ClientQueueDepth,
-		ClientOverloaded:  st.ClientOverloaded,
+		CacheHitRate:      st.CacheHitRate(),
 		ReconfigMs:        ms(st.ReconfigCost),
-		Reconfigs:         st.Reconfigs,
 		ReconfigTimeMs:    ms(st.ReconfigTime),
-		CacheHits:         st.CacheHits, CacheMisses: st.CacheMisses,
-		CacheHitRate:   st.CacheHitRate(),
-		CacheEvictions: st.CacheEvictions, CacheEntries: st.CacheEntries,
-		CacheBytes: st.CacheBytes, CacheMaxBytes: st.CacheMaxBytes,
-		DeviceWaitMs: ms(st.DeviceWait), DeviceHoldMs: ms(st.DeviceHold),
-		DeviceAcquires: st.DeviceAcquires, DeviceContended: st.DeviceContended,
-		Incremental: st.Incremental, Fallbacks: st.Fallbacks,
-		OutcomeHits: st.OutcomeHits, OutcomeMisses: st.OutcomeMisses,
-		OutcomeEntries: st.OutcomeEntries, OutcomeBytes: st.OutcomeBytes,
-		OutcomeDiskHits: st.OutcomeDiskHits, OutcomeLoaded: st.OutcomeLoaded,
-		OutcomeErrors: st.OutcomeErrors,
+		DeviceWaitMs:      ms(st.DeviceWait),
+		DeviceHoldMs:      ms(st.DeviceHold),
 	}
 	if st.Fleet != nil {
-		f := &fleetStatsResponse{
-			Routed: st.Fleet.Routed, Retried: st.Fleet.Retried,
-			Excluded:     st.Fleet.Excluded,
-			RemoteWallMs: ms(st.Fleet.RemoteWall),
-		}
-		for _, n := range st.Fleet.Nodes {
-			f.Nodes = append(f.Nodes, fleetNodeResponse{
-				Addr: n.Addr, State: n.State,
-				Routed: n.Routed, Failed: n.Failed, Inflight: n.Inflight,
-			})
-		}
-		resp.Fleet = f
+		resp.Fleet = &fleetView{st.Fleet, ms(st.Fleet.RemoteWall)}
 	}
+	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
 }
 

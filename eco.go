@@ -185,18 +185,18 @@ func (s *Service) ecoPrep(job BatchJob, p *shardPrep) (*ecoInfo, error) {
 			info.reuse[i] = true
 		}
 		info.store = false
-		s.accountEco(job, true, true)
+		s.accountEco(job, true)
 		return info, nil
 	}
 
 	// Base splice: reuse the base outcome's hash-verified clean bands.
 	if len(job.Edits) > 0 {
 		if s.spliceFromBase(job, p, info) {
-			s.accountEco(job, true, true)
+			s.accountEco(job, true)
 			return info, nil
 		}
 	}
-	s.accountEco(job, false, false)
+	s.accountEco(job, false)
 	return info, nil
 }
 
@@ -271,22 +271,22 @@ func (s *Service) lookupEntry(key string, bands int, wantIn []string, verify []i
 	return ent
 }
 
-// accountEco folds one job's outcome-cache decision into the counters.
-func (s *Service) accountEco(job BatchJob, hit, reused bool) {
-	s.mu.Lock()
+// accountEco counts one job's outcome-cache decision: a hit reused cached
+// work (for an eco job, the incremental path); a miss ran in full (for an
+// eco job, a fallback).
+func (s *Service) accountEco(job BatchJob, hit bool) {
 	if hit {
-		s.outcomeHits++
+		s.outcomeHits.Inc()
 	} else {
-		s.outcomeMisses++
+		s.outcomeMisses.Inc()
 	}
 	if job.isEco() {
-		if reused {
-			s.incremental++
+		if hit {
+			s.ecoIncremental.Inc()
 		} else {
-			s.fallbacks++
+			s.ecoFallbacks.Inc()
 		}
 	}
-	s.mu.Unlock()
 }
 
 // cachedOutcome rebuilds a servable Outcome from stored pieces: the layout
@@ -392,7 +392,7 @@ func (s *Service) plainPoolJob(job BatchJob, class sched.Class) batch.Job[*Outco
 			s.outcomes.Add(eco.LayoutKey(hash), input, input.ApproxBytes())
 			return ent, ent.ApproxBytes(), nil
 		})
-		s.accountEco(job, !ran, !ran)
+		s.accountEco(job, !ran)
 		if err != nil {
 			return nil, err
 		}

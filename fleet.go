@@ -56,28 +56,31 @@ func WithFleetRetries(n int) ServiceOption {
 // row per worker plus fleet-wide totals. RemoteWall is cumulative band
 // round-trip wall time — transport plus the worker's whole job — and is
 // telemetry only: the modeled seconds of the results themselves travel
-// inside Outcomes and never include it.
+// inside Outcomes and never include it. The JSON tags are the /v1/stats
+// "fleet" block's wire names (RemoteWall is served as remoteWallMs).
 type FleetStats struct {
 	// Nodes lists every configured worker in configuration order.
-	Nodes []FleetNodeStats
+	Nodes []FleetNodeStats `json:"nodes"`
 	// Routed counts jobs completed remotely; Retried extra attempts after
 	// a retryable failure; Excluded node exclusions those retries made.
-	Routed, Retried, Excluded int64
+	Routed   int64 `json:"routed"`
+	Retried  int64 `json:"retried"`
+	Excluded int64 `json:"excluded"`
 	// RemoteWall is total remote round-trip wall time (RTT telemetry).
-	RemoteWall time.Duration
+	RemoteWall time.Duration `json:"-"`
 }
 
 // FleetNodeStats is one worker's liveness and traffic.
 type FleetNodeStats struct {
 	// Addr is the worker's base URL; State its health as the router last
 	// saw it: "alive", "draining", or "dead".
-	Addr  string
-	State string
+	Addr  string `json:"addr"`
+	State string `json:"state"`
 	// Routed counts jobs this node completed; Failed its failed attempts;
 	// Inflight its currently outstanding jobs.
-	Routed   int64
-	Failed   int64
-	Inflight int
+	Routed   int64 `json:"routed"`
+	Failed   int64 `json:"failed"`
+	Inflight int   `json:"inflight"`
 }
 
 // fleetStats mirrors the router's snapshot onto the public structs.

@@ -121,6 +121,16 @@ func (c Counter) Add(v float64) {
 // Inc increases the counter by one.
 func (c Counter) Inc() { c.Add(1) }
 
+// Value returns the counter's current total (0 for the nil Counter) — the
+// read side that lets a stats view report the very number /metrics
+// serves instead of keeping a second tally.
+func (c Counter) Value() float64 {
+	if c.s == nil {
+		return 0
+	}
+	return math.Float64frombits(c.s.bits.Load())
+}
+
 // Gauge is a set-to-current-value metric. The nil Gauge drops updates.
 type Gauge struct{ s *series }
 

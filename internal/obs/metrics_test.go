@@ -22,6 +22,12 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Inc()
 	c.Add(2)
 	c.Add(-5) // dropped: counters only go up
+	if v := c.Value(); v != 3 {
+		t.Fatalf("counter value %v, want 3", v)
+	}
+	if v := (Counter{}).Value(); v != 0 {
+		t.Fatalf("nil counter value %v, want 0", v)
+	}
 	g := r.Gauge("flex_serve_queue_depth_jobs", "Queue occupancy.")
 	g.Set(7)
 	g.Add(-2)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -117,8 +116,7 @@ type serviceConfig struct {
 	fleetInflight int
 	fleetRetries  int
 
-	// Observability (see WithMetrics and friends below).
-	metrics *obs.Registry
+	// Observability (see WithTracer and friends below).
 	tracer  *obs.Tracer
 	tracing bool
 	logger  *slog.Logger
@@ -231,19 +229,6 @@ func WithReconfigCost(d time.Duration) ServiceOption {
 	return func(c *serviceConfig) { c.reconfigCost = d }
 }
 
-// WithMetrics routes the service's operational metrics into reg: latency
-// histograms for scheduler queue wait, modeled device wait/hold, fleet RPC
-// round trips and end-to-end job time, plus job/reject counters and live
-// queue-depth gauges — the families flexserve's GET /metrics exposes as
-// Prometheus text (names follow flex_<subsystem>_<name>_<unit>; see
-// docs/OBSERVABILITY.md). Metrics are pure telemetry: observation happens
-// on the result path after bytes are final, so a metered service's output
-// is byte-identical to an unmetered one. nil (the default) disables
-// metering at zero cost.
-func WithMetrics(reg *obs.Registry) ServiceOption {
-	return func(c *serviceConfig) { c.metrics = reg }
-}
-
 // WithTracer turns on per-job tracing and accumulates every finished job's
 // trace in t, for export as Chrome trace-viewer JSON (flexlg -trace-out).
 // Implies WithTracing(true).
@@ -310,9 +295,10 @@ type Service struct {
 	// jobs then execute remotely instead of running a local engine.
 	router *fleet.Router
 
-	// Observability: nil-safe instruments (see WithMetrics / WithTracer /
-	// WithTracing / WithLogger). All strictly telemetry — nothing here may
-	// influence result bytes.
+	// Observability (see Metrics / WithTracer / WithTracing / WithLogger).
+	// metrics is the service's one telemetry store: every counter Stats
+	// reports is a series in it, counted once. All strictly telemetry —
+	// nothing here may influence result bytes.
 	metrics       *obs.Registry
 	tracer        *obs.Tracer
 	tracing       bool
@@ -321,30 +307,27 @@ type Service struct {
 	deviceWaitSec obs.Histogram
 	deviceHoldSec obs.Histogram
 	jobSeconds    obs.Histogram
+	batches       obs.Counter
 	jobsOK        obs.Counter
 	jobsErr       obs.Counter
 	jobsSkipped   obs.Counter
 	shardedJobs   obs.Counter
 	reconfigsTot  obs.Counter
+	rejectQueue   obs.Counter
+	rejectClient  obs.Counter
+	rejectDrain   obs.Counter
+	// The outcome-cache families; nil-valued (reading 0) when the cache
+	// is off.
+	outcomeHits    obs.Counter
+	outcomeMisses  obs.Counter
+	ecoIncremental obs.Counter
+	ecoFallbacks   obs.Counter
 
 	// outcomes is non-nil when the outcome cache is on
 	// (WithOutcomeCacheBytes / WithCacheDir): finished legalizations are
 	// memoized by input-layout content hash, and edited jobs splice cached
 	// clean bands instead of re-legalizing them (see eco.go).
 	outcomes *cache.Disk
-
-	mu               sync.Mutex
-	batches          int64
-	jobs             int64
-	sharded          int64
-	errs             int64
-	skipped          int64
-	overloaded       int64
-	clientOverloaded int64
-	incremental      int64
-	fallbacks        int64
-	outcomeHits      int64
-	outcomeMisses    int64
 }
 
 // NewService builds and starts a Service. Callers must Close it to release
@@ -385,21 +368,20 @@ func NewService(opts ...ServiceOption) *Service {
 			Timeout:  cfg.fleetTimeout,
 			Inflight: cfg.fleetInflight,
 			Retries:  cfg.fleetRetries,
-			Metrics:  cfg.metrics,
+			Metrics:  s.metrics,
 		})
 	}
 	return s
 }
 
-// instrument registers the service's metric families. Every obs.Registry
-// method is nil-safe, so an unmetered service gets inert zero-value
-// instruments and pays nothing on the result path.
+// instrument creates the service's registry and registers its metric
+// families.
 func (s *Service) instrument(cfg *serviceConfig) {
-	s.metrics = cfg.metrics
+	s.metrics = obs.NewRegistry()
 	s.tracer = cfg.tracer
 	s.tracing = cfg.tracing
 	s.logger = cfg.logger
-	m := cfg.metrics
+	m := s.metrics
 	s.queueWaitSec = m.Histogram("flex_sched_queue_wait_seconds",
 		"Time jobs queued for a worker goroutine under the scheduler.", obs.LatencyBuckets)
 	s.deviceWaitSec = m.Histogram("flex_device_wait_seconds",
@@ -408,6 +390,8 @@ func (s *Service) instrument(cfg *serviceConfig) {
 		"Time jobs occupied a modeled FPGA board (reconfiguration included).", obs.LatencyBuckets)
 	s.jobSeconds = m.Histogram("flex_serve_job_seconds",
 		"End-to-end wall time of one job, admission to result.", obs.LatencyBuckets)
+	s.batches = m.Counter("flex_serve_batches_total",
+		"Submissions finished (admitted batches whose every job was delivered).")
 	s.jobsOK = m.Counter("flex_serve_jobs_total",
 		"Jobs finished, by status.", obs.Label{Key: "status", Value: "ok"})
 	s.jobsErr = m.Counter("flex_serve_jobs_total",
@@ -418,6 +402,12 @@ func (s *Service) instrument(cfg *serviceConfig) {
 		"Jobs that took the row-band shard path.")
 	s.reconfigsTot = m.Counter("flex_device_reconfigs_total",
 		"Modeled board reconfigurations charged to finished jobs.")
+	s.rejectQueue = m.Counter("flex_serve_rejects_total",
+		"Submissions shed at admission, by reason.", obs.Label{Key: "reason", Value: "queue_full"})
+	s.rejectClient = m.Counter("flex_serve_rejects_total",
+		"Submissions shed at admission, by reason.", obs.Label{Key: "reason", Value: "client_queue_full"})
+	s.rejectDrain = m.Counter("flex_serve_rejects_total",
+		"Submissions shed at admission, by reason.", obs.Label{Key: "reason", Value: "draining"})
 	m.GaugeFunc("flex_serve_queue_depth_jobs",
 		"Admitted and undelivered pool jobs right now (each band of a sharded job counted separately).",
 		func() float64 { return float64(s.pool.Admitted()) })
@@ -432,18 +422,59 @@ func (s *Service) instrument(cfg *serviceConfig) {
 			"Resident bytes in the layout cache.",
 			func() float64 { return float64(s.layouts.Stats().Bytes) })
 	}
+	if s.outcomes != nil {
+		s.outcomeHits = m.Counter("flex_cache_outcome_hits_total",
+			"Jobs served wholly or partly from a cached outcome.")
+		s.outcomeMisses = m.Counter("flex_cache_outcome_misses_total",
+			"Jobs that ran with the outcome cache on but found nothing reusable.")
+		s.ecoIncremental = m.Counter("flex_eco_jobs_total",
+			"Eco jobs (edits or a base reference) by path: spliced cached clean bands, or ran in full.",
+			obs.Label{Key: "path", Value: "incremental"})
+		s.ecoFallbacks = m.Counter("flex_eco_jobs_total",
+			"Eco jobs (edits or a base reference) by path: spliced cached clean bands, or ran in full.",
+			obs.Label{Key: "path", Value: "fallback"})
+		m.CounterFunc("flex_cache_outcome_disk_hits_total",
+			"Outcome lookups served from the cache directory after missing memory.",
+			func() float64 { return float64(s.outcomes.Stats().DiskHits) })
+		m.CounterFunc("flex_cache_outcome_loaded_total",
+			"Outcome-cache entries restored from the cache directory at start.",
+			func() float64 { return float64(s.outcomes.Stats().Loaded) })
+		m.CounterFunc("flex_cache_outcome_errors_total",
+			"Corrupt or unwritable outcome-cache files skipped with a warning.",
+			func() float64 { return float64(s.outcomes.Stats().Errors) })
+		m.GaugeFunc("flex_cache_outcome_entries_count",
+			"Entries resident in the outcome cache.",
+			func() float64 { return float64(s.outcomes.Stats().Entries) })
+		m.GaugeFunc("flex_cache_outcome_bytes",
+			"Resident bytes in the outcome cache.",
+			func() float64 { return float64(s.outcomes.Stats().Bytes) })
+	}
 }
+
+// Metrics returns the service's metric registry — the one store behind
+// Stats — so a server can expose it: svc.Metrics().WritePrometheus(w)
+// renders every family as Prometheus text (names follow
+// flex_<subsystem>_<name>_<unit>; see docs/OBSERVABILITY.md). Metrics are
+// pure telemetry, observed on the result path after bytes are final.
+func (s *Service) Metrics() *obs.Registry { return s.metrics }
 
 // observeResult feeds one finished job into the metrics registry and the
 // debug log — the single per-result observability hook on the emit path,
 // after the result's bytes are final. Wall-clock latencies land in
-// histograms and log lines only; nothing here touches the result.
-func (s *Service) observeResult(br BatchResult) {
+// histograms and log lines only; nothing here touches the result. engine
+// is the submitted job's, the label of a recovered engine panic.
+func (s *Service) observeResult(br BatchResult, engine Engine) {
 	switch {
 	case IsBatchSkipped(br.Err):
 		s.jobsSkipped.Inc()
 	case br.Err != nil:
 		s.jobsErr.Inc()
+		if errors.As(br.Err, new(*PanicError)) {
+			name, _ := engineWireName(engine)
+			s.metrics.Counter("flex_serve_panics_total",
+				"Jobs whose engine panicked (recovered into the job's error), by engine.",
+				obs.Label{Key: "engine", Value: name}).Inc()
+		}
 	default:
 		s.jobsOK.Inc()
 	}
@@ -493,7 +524,7 @@ type SubmitOptions struct {
 func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions) (*BatchSummary, error) {
 	e := s.expand(jobs)
 	col := newShardCollector(e, opt.OnShard, func(br BatchResult) {
-		s.observeResult(br)
+		s.observeResult(br, jobs[br.Index].Engine)
 		if opt.OnResult != nil {
 			opt.OnResult(br)
 		}
@@ -528,7 +559,7 @@ func (s *Service) Submit(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 	// unless WithReconfigCost is set; per-Outcome modeled seconds stay
 	// pure functions of the design).
 	sum.ModeledSeconds += sum.ReconfigSeconds
-	s.account(len(jobs), col.sharded, sum.Errors, sum.Skipped)
+	s.batches.Inc()
 	return sum, err
 }
 
@@ -558,15 +589,8 @@ func (s *Service) stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 			defer onDrained()
 		}
 		defer close(out)
-		var errs, skipped int
 		col := newShardCollector(e, opt.OnShard, func(br BatchResult) {
-			s.observeResult(br)
-			switch {
-			case IsBatchSkipped(br.Err):
-				skipped++
-			case br.Err != nil:
-				errs++
-			}
+			s.observeResult(br, jobs[br.Index].Engine)
 			if opt.OnResult != nil {
 				opt.OnResult(br)
 			}
@@ -575,42 +599,28 @@ func (s *Service) stream(ctx context.Context, jobs []BatchJob, opt SubmitOptions
 		for r := range in {
 			col.observe(r)
 		}
-		s.account(len(jobs), col.sharded, errs, skipped)
+		s.batches.Inc()
 	}()
 	return out, nil
 }
 
 // admissionError maps the pool's admission rejections onto the public
-// sentinels and counts them; any other error passes through as nil (it is
-// a batch-level error the caller still gets alongside results).
+// sentinels and counts them by reason; any other error passes through as
+// nil (it is a batch-level error the caller still gets alongside results).
 func (s *Service) admissionError(err error) error {
 	var coe *batch.ClientOverloadedError
 	switch {
 	case errors.As(err, &coe):
-		s.mu.Lock()
-		s.clientOverloaded++
-		s.mu.Unlock()
+		s.rejectClient.Inc()
 		return &ClientOverloadedError{Client: coe.Client}
 	case errors.Is(err, batch.ErrOverloaded):
-		s.mu.Lock()
-		s.overloaded++
-		s.mu.Unlock()
+		s.rejectQueue.Inc()
 		return ErrOverloaded
 	case errors.Is(err, batch.ErrPoolClosed):
+		s.rejectDrain.Inc()
 		return ErrServiceClosed
 	}
 	return nil
-}
-
-// account folds one finished batch into the cumulative counters.
-func (s *Service) account(jobs, sharded, errs, skipped int) {
-	s.mu.Lock()
-	s.batches++
-	s.jobs += int64(jobs)
-	s.sharded += int64(sharded)
-	s.errs += int64(errs)
-	s.skipped += int64(skipped)
-	s.mu.Unlock()
 }
 
 // Close stops admitting work, waits for in-flight submissions to drain,
@@ -626,53 +636,67 @@ func (s *Service) Close() error {
 	return nil
 }
 
-// ServiceStats is a cumulative snapshot of a Service's life so far.
+// ServiceStats is a cumulative snapshot of a Service's life so far. Its
+// counters are read back from the service's metric registry (Metrics),
+// so they always equal the /metrics series of the same facts. The JSON
+// tags are flexserve's GET /v1/stats wire names; time.Duration fields are
+// tagged "-" and served in milliseconds beside them.
 type ServiceStats struct {
 	// Batches counts finished submissions; Jobs the results they
 	// delivered; Errors jobs that ran and failed; Skipped jobs canceled
 	// before starting; Overloaded submissions rejected at admission.
-	Batches, Jobs, Errors, Skipped, Overloaded int64
+	Batches    int64 `json:"batches"`
+	Jobs       int64 `json:"jobs"`
+	Errors     int64 `json:"errors"`
+	Skipped    int64 `json:"skipped"`
+	Overloaded int64 `json:"overloaded"`
 	// ClientOverloaded counts submissions rejected by a per-client
 	// admission bound (WithClientQueueDepth).
-	ClientOverloaded int64
+	ClientOverloaded int64 `json:"clientOverloaded"`
 	// ShardedJobs counts the jobs that took the row-band shard path
 	// (BatchJob.Shards, WithShards, or auto-sharding).
-	ShardedJobs int64
+	ShardedJobs int64 `json:"shardedJobs"`
 	// QueuedJobs is the number of pool jobs admitted and not yet
 	// delivered right now — queued plus running, with each band of a
 	// sharded job counted separately. Against QueueDepth it measures how
 	// close the service is to shedding load; flexserve derives its 429
 	// Retry-After from it.
-	QueuedJobs int
+	QueuedJobs int `json:"queuedJobs"`
 	// QueuedByPriority buckets the jobs currently waiting for a worker by
 	// their base priority — the per-class queue depths /v1/stats serves.
-	QueuedByPriority map[int]int
+	QueuedByPriority map[int]int `json:"queuedByPriority"`
 	// QueuedByClient buckets waiting jobs by client; RunningByClient
 	// counts each client's jobs currently occupying a worker (the set a
 	// client quota caps).
-	QueuedByClient  map[string]int
-	RunningByClient map[string]int
+	QueuedByClient  map[string]int `json:"queuedByClient"`
+	RunningByClient map[string]int `json:"runningByClient"`
 	// Workers is the persistent pool size; FPGAs the modeled board count
 	// (0 = unlimited); QueueDepth the admission bound (0 = unbounded).
-	Workers, FPGAs, QueueDepth int
+	Workers    int `json:"workers"`
+	FPGAs      int `json:"fpgas"`
+	QueueDepth int `json:"queueDepth"`
 	// Scheduler names the active policy ("priority" or "fifo");
 	// ClientQuota and ClientQueueDepth echo the per-client bounds (0 =
 	// unlimited); ReconfigCost the modeled per-swap board programming
 	// delay.
-	Scheduler                     string
-	ClientQuota, ClientQueueDepth int
-	ReconfigCost                  time.Duration
+	Scheduler        string        `json:"scheduler"`
+	ClientQuota      int           `json:"clientQuota"`
+	ClientQueueDepth int           `json:"clientQueueDepth"`
+	ReconfigCost     time.Duration `json:"-"`
 	// Reconfigs counts board reconfigurations across every submission
 	// (consecutive holders from different jobs, first board use included);
 	// ReconfigTime is the modeled programming time they charged.
-	Reconfigs    int
-	ReconfigTime time.Duration
+	Reconfigs    int           `json:"reconfigs"`
+	ReconfigTime time.Duration `json:"-"`
 	// Cache accounting (all zero when caching is disabled): hits count
 	// lookups that skipped regeneration, including waiters that joined an
 	// in-flight generation.
-	CacheHits, CacheMisses, CacheEvictions int64
-	CacheEntries                           int
-	CacheBytes, CacheMaxBytes              int64
+	CacheHits      int64 `json:"cacheHits"`
+	CacheMisses    int64 `json:"cacheMisses"`
+	CacheEvictions int64 `json:"cacheEvictions"`
+	CacheEntries   int   `json:"cacheEntries"`
+	CacheBytes     int64 `json:"cacheBytes"`
+	CacheMaxBytes  int64 `json:"cacheMaxBytes"`
 	// Outcome-cache accounting (all zero when the outcome cache is off).
 	// OutcomeHits counts jobs served wholly or partly from a cached
 	// outcome; OutcomeMisses jobs that ran with the cache on but found
@@ -683,19 +707,24 @@ type ServiceStats struct {
 	// lookups served from the -cache-dir files after missing memory;
 	// OutcomeLoaded entries restored at start; OutcomeErrors corrupt or
 	// unwritable files skipped with a warning.
-	Incremental, Fallbacks                        int64
-	OutcomeHits, OutcomeMisses                    int64
-	OutcomeEntries                                int
-	OutcomeBytes                                  int64
-	OutcomeDiskHits, OutcomeLoaded, OutcomeErrors int64
+	Incremental     int64 `json:"incremental"`
+	Fallbacks       int64 `json:"fallbacks"`
+	OutcomeHits     int64 `json:"outcomeHits"`
+	OutcomeMisses   int64 `json:"outcomeMisses"`
+	OutcomeEntries  int   `json:"outcomeEntries"`
+	OutcomeBytes    int64 `json:"outcomeBytes"`
+	OutcomeDiskHits int64 `json:"outcomeDiskHits"`
+	OutcomeLoaded   int64 `json:"outcomeLoaded"`
+	OutcomeErrors   int64 `json:"outcomeErrors"`
 	// Device contention, cumulative across every submission: total queue
 	// time and board occupancy, acquisitions, and how many had to wait.
-	DeviceWait, DeviceHold          time.Duration
-	DeviceAcquires, DeviceContended int
+	DeviceWait, DeviceHold time.Duration `json:"-"`
+	DeviceAcquires         int           `json:"deviceAcquires"`
+	DeviceContended        int           `json:"deviceContended"`
 	// Fleet is the coordinator's routing snapshot — per-worker liveness
 	// and traffic, retry/exclusion totals, cumulative band round-trip
 	// wall time. Nil on a single-process service.
-	Fleet *FleetStats
+	Fleet *FleetStats `json:"fleet,omitempty"`
 }
 
 // CacheHitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -707,24 +736,26 @@ func (st ServiceStats) CacheHitRate() float64 {
 }
 
 // Stats snapshots the service's cumulative counters: jobs served, cache
-// effectiveness, device contention.
+// effectiveness, device contention. Counters come from the metric
+// registry; the rest from the pool, device and caches that own them.
 func (s *Service) Stats() ServiceStats {
-	s.mu.Lock()
+	n := func(c obs.Counter) int64 { return int64(c.Value()) }
+	errs, skipped := n(s.jobsErr), n(s.jobsSkipped)
 	st := ServiceStats{
-		Batches: s.batches, Jobs: s.jobs, Errors: s.errs,
-		Skipped: s.skipped, Overloaded: s.overloaded,
-		ClientOverloaded: s.clientOverloaded,
-		ShardedJobs:      s.sharded,
+		Batches: n(s.batches), Jobs: n(s.jobsOK) + errs + skipped,
+		Errors: errs, Skipped: skipped,
+		Overloaded:       n(s.rejectQueue),
+		ClientOverloaded: n(s.rejectClient),
+		ShardedJobs:      n(s.shardedJobs),
 		Workers:          s.pool.Workers(), QueueDepth: s.depth,
-		QueuedJobs:   s.pool.Admitted(),
-		Scheduler:    s.scheduler.String(),
-		ClientQuota:  s.clientQuota,
-		ReconfigCost: s.reconfigCost,
-		Incremental:  s.incremental, Fallbacks: s.fallbacks,
-		OutcomeHits: s.outcomeHits, OutcomeMisses: s.outcomeMisses,
+		QueuedJobs:       s.pool.Admitted(),
+		Scheduler:        s.scheduler.String(),
+		ClientQuota:      s.clientQuota,
+		ClientQueueDepth: s.clientDepth,
+		ReconfigCost:     s.reconfigCost,
+		Incremental:      n(s.ecoIncremental), Fallbacks: n(s.ecoFallbacks),
+		OutcomeHits: n(s.outcomeHits), OutcomeMisses: n(s.outcomeMisses),
 	}
-	st.ClientQueueDepth = s.clientDepth
-	s.mu.Unlock()
 	d := s.pool.Depths()
 	st.QueuedByPriority = d.WaitingByPriority
 	st.QueuedByClient = d.WaitingByClient

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -118,6 +119,10 @@ func TestServiceClosedRejectsSubmissions(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+	const draining = `flex_serve_rejects_total{reason="draining"}`
+	if v := metricValue(t, svc, draining); v != 2 {
+		t.Fatalf("%s = %v, want 2", draining, v)
 	}
 }
 
@@ -234,6 +239,12 @@ func TestServiceContainsEnginePanic(t *testing.T) {
 	if n := strings.Count(logged.String(), "level=ERROR"); n != 1 {
 		t.Fatalf("want one error-level log line, got %d:\n%s", n, logged.String())
 	}
+	const panics = `flex_serve_panics_total{engine="analytical"}`
+	const ok = `flex_serve_jobs_total{status="ok"}`
+	if v := metricValue(t, svc, panics); v != 1 {
+		t.Fatalf("%s = %v, want 1", panics, v)
+	}
+	okBefore := metricValue(t, svc, ok)
 	sum, err := svc.Submit(context.Background(), []flex.BatchJob{good}, flex.SubmitOptions{})
 	if err != nil || sum.Errors != 0 || !sum.Results[0].Outcome.Legal {
 		t.Fatalf("later submission: %v %+v", err, sum)
@@ -241,6 +252,34 @@ func TestServiceContainsEnginePanic(t *testing.T) {
 	if st := svc.Stats(); st.Errors != 1 || st.Jobs != 3 {
 		t.Fatalf("service stats %+v", st)
 	}
+	if v := metricValue(t, svc, ok); v != okBefore+1 {
+		t.Fatalf("%s = %v after a good job, want %v", ok, v, okBefore+1)
+	}
+	if v := metricValue(t, svc, panics); v != 1 {
+		t.Fatalf("%s = %v after a good job, want 1", panics, v)
+	}
+}
+
+// metricValue scrapes the service's registry and returns the value of the
+// one sample line naming series (metric name plus its label set, as
+// exposed), failing the test when the series is absent.
+func metricValue(t *testing.T, svc *flex.Service, series string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := svc.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("series %s missing from the scrape:\n%s", series, sb.String())
+	return 0
 }
 
 // TestServiceContainsEnginePanicWithOutcomeCache: with the outcome cache on,

@@ -363,7 +363,6 @@ type shardCollector struct {
 	pending [][]batch.Result[*Outcome] // per sharded job, one slot per band
 	got     []int
 	results []BatchResult // per submitted job, valid once emitted
-	sharded int           // jobs that took the shard path
 	onShard func(job int, r BatchResult)
 	emit    func(BatchResult)
 }
@@ -380,7 +379,6 @@ func newShardCollector(e *expansion, onShard func(int, BatchResult), emit func(B
 	for j, k := range e.shards {
 		if k > 0 {
 			c.pending[j] = make([]batch.Result[*Outcome], k)
-			c.sharded++
 		}
 	}
 	return c
